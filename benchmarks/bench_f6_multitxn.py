@@ -11,10 +11,19 @@ from __future__ import annotations
 from repro.apps.banking import BankApp
 from repro.core.devices import DisplayWithUserIds
 from repro.core.system import TPSystem
+from repro.queueing.placement import PinnedPlacement
 
 
-def _setup(separate_reply_node=False):
-    system = TPSystem(separate_reply_node=separate_reply_node)
+def _setup(reply_on_another_node=False):
+    if reply_on_another_node:
+        # The pinned two-shard layout: queue node (request queue plus
+        # the bank's tables) on shard 0, c1's reply queue on shard 1.
+        system = TPSystem(shards=2, placement=PinnedPlacement({
+            "req.q": 0, "req.err": 0, "accounts": 0, "accounts.audit": 0,
+            "reply.c1": 1,
+        }))
+    else:
+        system = TPSystem()
     bank = BankApp(system)
     bank.open_accounts({"alice": 10_000_000, "bob": 10_000_000})
     return system, bank
@@ -69,7 +78,7 @@ def test_f6_two_phase_commit_transfer(benchmark):
     """The alternative Section 6 positions queues against: a
     distributed transaction spanning the request node and a separate
     reply node under 2PC."""
-    system, bank = _setup(separate_reply_node=True)
+    system, bank = _setup(reply_on_another_node=True)
     server = system.server("s", bank.transfer_handler)
     display = DisplayWithUserIds(trace=system.trace)
     client = system.client("c1", [], display)
@@ -86,6 +95,7 @@ def test_f6_two_phase_commit_transfer(benchmark):
         display.process(reply.rid, reply.body)
 
     benchmark(transfer)
+    assert system.request_repo.tm.cross_shard_commits == counter["seq"]
     benchmark.extra_info["design"] = "1 transaction across 2 nodes (2PC)"
 
 

@@ -23,6 +23,7 @@ from typing import Any
 from repro.chaos.engine import run_episode
 from repro.chaos.schedule import ChaosConfig
 from repro.chaos.shrink import shrink
+from repro.transaction.cc import CC_POLICIES
 
 
 def _build_config(args: argparse.Namespace) -> ChaosConfig:
@@ -72,12 +73,11 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
                              "shard and add the node.kill / failover / "
                              "standby.lag fault family to the sampler "
                              "(default off)")
-    parser.add_argument("--cc", choices=("2pl", "deterministic", "auto"),
-                        default="2pl",
+    parser.add_argument("--cc", choices=CC_POLICIES, default="2pl",
                         help="concurrency-control policy under test: "
-                             "'deterministic'/'auto' route queue-shaped "
+                             "'deterministic' routes queue-shaped "
                              "transactions through the plan-queue lane and "
-                             "add the det.plan.* crash points to the "
+                             "adds the det.plan.* crash points to the "
                              "sampler (default 2pl)")
     parser.add_argument("--flight-dir", default=None,
                         help="write flight-recorder JSONL dumps for failing "

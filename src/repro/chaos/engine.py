@@ -450,38 +450,21 @@ class ChaosEngine:
         for _ in range(_RESTART_ATTEMPTS):
             try:
                 if self.system is None:
-                    if len(self.faulty_disks) > 1:
-                        system = TPSystem(
-                            shard_disks=self.faulty_disks,
-                            injector=self.injector,
-                            trace=self.trace,
-                            obs=self.obs,
-                            request_queue=self.config.request_queue,
-                            max_aborts=self.config.max_aborts,
-                            checkpoint_interval_bytes=(
-                                self.config.checkpoint_interval_bytes
-                            ),
-                            replicate=self.config.replicate,
-                            standby_disks=self._standby_carry,
-                            replica_controller=self._controller_carry,
-                            cc=self.config.cc,
-                        )
-                    else:
-                        system = TPSystem(
-                            request_disk=self.faulty,
-                            injector=self.injector,
-                            trace=self.trace,
-                            obs=self.obs,
-                            request_queue=self.config.request_queue,
-                            max_aborts=self.config.max_aborts,
-                            checkpoint_interval_bytes=(
-                                self.config.checkpoint_interval_bytes
-                            ),
-                            replicate=self.config.replicate,
-                            standby_disks=self._standby_carry,
-                            replica_controller=self._controller_carry,
-                            cc=self.config.cc,
-                        )
+                    system = TPSystem(
+                        shard_disks=self.faulty_disks,
+                        injector=self.injector,
+                        trace=self.trace,
+                        obs=self.obs,
+                        request_queue=self.config.request_queue,
+                        max_aborts=self.config.max_aborts,
+                        checkpoint_interval_bytes=(
+                            self.config.checkpoint_interval_bytes
+                        ),
+                        replicate=self.config.replicate,
+                        standby_disks=self._standby_carry,
+                        replica_controller=self._controller_carry,
+                        cc=self.config.cc,
+                    )
                 else:
                     system = self.system.reopen(injector=self.injector)
                 self._wire(system)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.storage.faults import CORRUPT, DISK_FULL, IO_ERROR, PERMANENT, DiskFault
+from repro.transaction.cc import check_cc_policy
 from repro.transaction.deterministic import DET_PLAN_CRASH_POINTS
 
 #: Crash points the sampler draws from.  These are the instrumented
@@ -240,15 +241,18 @@ class ChaosConfig:
     #: default so historic seeds keep their exact schedules.
     replicate: bool = False
     #: concurrency-control policy for the system under test: "2pl"
-    #: (seed behavior), or "deterministic"/"auto", which route the
+    #: (seed behavior), or "deterministic", which routes the
     #: queue-shaped transaction class through the deterministic lane
-    #: and let the sampler draw crash points at the plan-batch
+    #: and lets the sampler draw crash points at the plan-batch
     #: boundaries (``DET_PLAN_CRASH_POINTS``).  "2pl" keeps historic
     #: seeds byte-identical.
     cc: str = "2pl"
     #: directory for flight-recorder dumps of failing episodes
     #: (``None`` keeps the ring in memory only — no files are written)
     flight_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        check_cc_policy(self.cc)
 
     @property
     def total_requests(self) -> int:

@@ -1,18 +1,30 @@
-"""A remote queue-manager proxy — Section 5's deployment assumption.
+"""The remote queue manager — Section 5's deployment assumption.
 
 "If the QM is remote from the client, then we assume that the clerk
 invokes QM operations using remote procedure call [Birrell and
 Nelson 84]."
 
-:class:`RemoteQueueManager` exposes the :class:`~repro.queueing.manager.
-QueueManager` surface the clerk uses, forwarding each operation over
-any :class:`~repro.comm.transport.Transport` — the simulated network
-in chaos runs, a real TCP socket in the deployed topology — as *data*
-payloads (``{"op": ..., ...}`` dicts of codec types), dispatched by a
-:class:`QueueManagerService` at the far end.  The transport is
-at-least-once (lost messages/replies are retried), so duplicate
-*deliveries* of an operation are possible; the queue manager absorbs
-them:
+This module is the one place that knows the queue-operation wire
+vocabulary (``{"op": ..., ...}`` dicts of codec types):
+
+* the ``op_*`` **payload builders** write it — the stub below, the
+  remote repository and the asyncio :mod:`repro.gateway` all build
+  their frames here, so an operation's shape is decided once;
+* :class:`QueueManagerService` reads it: one ``_op_<name>`` method per
+  operation, run against a local
+  :class:`~repro.queueing.manager.QueueManager`;
+* :class:`RemoteQueueManager` is the caller-side stub — the
+  :class:`QueueManager` surface forwarded over any
+  :class:`~repro.comm.transport.Transport` (the simulated network in
+  chaos runs, a real TCP socket in the deployed topology).  The base
+  stub has one transport and is auto-commit only (the clerk's view);
+  :class:`repro.serve.client.RemoteShardedQueueManager` overrides its
+  two routing hooks to pick the owning shard's connection and name the
+  caller's transaction branch there.
+
+The transport is at-least-once (lost messages/replies are retried), so
+duplicate *deliveries* of an operation are possible; the queue manager
+absorbs them:
 
 * **Register** is naturally idempotent (re-register returns the same
   state);
@@ -22,16 +34,11 @@ them:
   (Figure 2) recovers via the tag — the paper's whole point;
 * **Deregister** retries find the registration already gone; for a
   destroy operation that *is* success, absorbed server-side.
-
-The proxy deliberately only covers the clerk-facing auto-commit
-operations; servers are co-located with their queues (the paper's
-back-end assumption), and the sharded TCP deployment has its own
-transactional stubs in :mod:`repro.serve.client`.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.comm.transport import Transport
 from repro.comm.wire import error_payload, ok_payload, unwrap
@@ -62,9 +69,63 @@ def handle_from_record(record: dict[str, str]) -> QueueHandle:
     )
 
 
+# Payload builders: the one writer of the wire-op vocabulary.  Key order
+# is part of the frame bytes (pinned by tests/comm/test_wire_ops.py).
+
+
+def op_register(qname: str, registrant: str, stable: bool = True) -> dict[str, Any]:
+    return {"op": "register", "queue": qname, "registrant": registrant, "stable": stable}
+
+
+def op_deregister(handle: QueueHandle) -> dict[str, Any]:
+    return {"op": "deregister", "handle": handle_record(handle)}
+
+
+def op_enqueue(handle: QueueHandle, body: Any, tag: Any = None, txn: int | None = None,
+               priority: int = 0, headers: dict[str, Any] | None = None) -> dict[str, Any]:
+    return {"op": "enqueue", "handle": handle_record(handle), "body": body,
+            "tag": tag, "txn": txn, "priority": priority, "headers": headers}
+
+
+def op_dequeue(handle: QueueHandle, tag: Any = None, error_queue: str | None = None,
+               txn: int | None = None, block: bool = False,
+               timeout: float | None = None) -> dict[str, Any]:
+    return {"op": "dequeue", "handle": handle_record(handle), "tag": tag,
+            "error_queue": error_queue, "txn": txn, "block": block, "timeout": timeout}
+
+
+def op_registration_info(handle: QueueHandle) -> dict[str, Any]:
+    return {"op": "registration_info", "handle": handle_record(handle)}
+
+
+def op_read(handle: QueueHandle, eid: int) -> dict[str, Any]:
+    return {"op": "read", "handle": handle_record(handle), "eid": eid}
+
+
+def op_kill_element(handle: QueueHandle, eid: int) -> dict[str, Any]:
+    return {"op": "kill_element", "handle": handle_record(handle), "eid": eid}
+
+
+def op_depth(qname: str) -> dict[str, Any]:
+    return {"op": "depth", "queue": qname}
+
+
+def op_create_queue(qname: str, config: dict[str, Any]) -> dict[str, Any]:
+    return {"op": "create_queue", "queue": qname, "config": config}
+
+
+def dequeue_wire_timeout(block: bool, timeout: float | None) -> float | None:
+    """Per-attempt transport wait for a dequeue: a blocking one must
+    outwait the server-side block."""
+    if not block:
+        return None
+    return (timeout if timeout is not None else _BLOCK_FOREVER) + _BLOCK_SLACK
+
+
 class QueueManagerService:
     """Server-side dispatcher: executes queue operations named by wire
-    payloads against a local :class:`QueueManager`.
+    payloads against a local :class:`QueueManager`.  Operation ``X`` is
+    the method ``_op_X``; subclasses add operations by adding methods.
 
     ``qm`` is rebindable — after a crash/restart the supervisor (or the
     chaos engine) points the service at the recovered queue manager and
@@ -90,6 +151,13 @@ class QueueManagerService:
         except ReproError as exc:
             return error_payload(exc)
 
+    def _dispatch(self, payload: dict[str, Any]) -> Any:
+        op = payload["op"]
+        handler = getattr(self, f"_op_{op}", None)
+        if handler is None:
+            raise ReproError(f"unknown queue-manager operation {op!r}")
+        return handler(payload)
+
     def _resolve_txn(self, payload: dict[str, Any]) -> Any:
         """Transaction named in the payload, if any.  The base service
         is auto-commit only; :class:`repro.serve.service.ShardService`
@@ -101,69 +169,73 @@ class QueueManagerService:
             )
         return None
 
-    def _dispatch(self, payload: dict[str, Any]) -> Any:
-        qm = self.qm
-        op = payload["op"]
-        if op == "register":
-            handle, tag, eid = qm.register(
-                payload["queue"], payload["registrant"],
-                stable=payload.get("stable", True),
-            )
-            return {"handle": handle_record(handle), "tag": tag, "eid": eid}
-        if op == "deregister":
-            try:
-                qm.deregister(handle_from_record(payload["handle"]))
-            except NotRegisteredError:
-                # Duplicate delivery: the first attempt already
-                # deregistered and only its reply was lost.
-                pass
-            return None
-        if op == "enqueue":
-            return qm.enqueue(
-                handle_from_record(payload["handle"]),
-                payload["body"],
-                tag=payload.get("tag"),
-                txn=self._resolve_txn(payload),
-                priority=payload.get("priority", 0),
-                headers=payload.get("headers"),
-            )
-        if op == "dequeue":
-            element = qm.dequeue(
-                handle_from_record(payload["handle"]),
-                tag=payload.get("tag"),
-                error_queue=payload.get("error_queue"),
-                txn=self._resolve_txn(payload),
-                block=payload.get("block", False),
-                timeout=payload.get("timeout"),
-            )
-            return element.to_record()
-        if op == "registration_info":
-            reg = qm.registration_info(handle_from_record(payload["handle"]))
-            return None if reg is None else reg.to_record()
-        if op == "read":
-            return qm.read(
-                handle_from_record(payload["handle"]), payload["eid"]
-            ).to_record()
-        if op == "kill_element":
-            return qm.kill_element(
-                handle_from_record(payload["handle"]), payload["eid"]
-            )
-        if op == "depth":
-            return qm.depth(payload["queue"])
-        raise ReproError(f"unknown queue-manager operation {op!r}")
+    # -- queue operations (Figure 3) ------------------------------------
+
+    def _op_register(self, payload: dict[str, Any]) -> dict[str, Any]:
+        handle, tag, eid = self.qm.register(
+            payload["queue"], payload["registrant"],
+            stable=payload.get("stable", True),
+        )
+        return {"handle": handle_record(handle), "tag": tag, "eid": eid}
+
+    def _op_deregister(self, payload: dict[str, Any]) -> None:
+        try:
+            self.qm.deregister(handle_from_record(payload["handle"]))
+        except NotRegisteredError:
+            # Duplicate delivery: the first attempt already
+            # deregistered and only its reply was lost.
+            pass
+
+    def _op_enqueue(self, payload: dict[str, Any]) -> int:
+        return self.qm.enqueue(
+            handle_from_record(payload["handle"]),
+            payload["body"],
+            tag=payload.get("tag"),
+            txn=self._resolve_txn(payload),
+            priority=payload.get("priority", 0),
+            headers=payload.get("headers"),
+        )
+
+    def _op_dequeue(self, payload: dict[str, Any]) -> dict[str, Any]:
+        return self.qm.dequeue(
+            handle_from_record(payload["handle"]),
+            tag=payload.get("tag"),
+            error_queue=payload.get("error_queue"),
+            txn=self._resolve_txn(payload),
+            block=payload.get("block", False),
+            timeout=payload.get("timeout"),
+        ).to_record()
+
+    def _op_registration_info(self, payload: dict[str, Any]) -> dict[str, Any] | None:
+        reg = self.qm.registration_info(handle_from_record(payload["handle"]))
+        return None if reg is None else reg.to_record()
+
+    def _op_read(self, payload: dict[str, Any]) -> dict[str, Any]:
+        return self.qm.read(
+            handle_from_record(payload["handle"]), payload["eid"]
+        ).to_record()
+
+    def _op_kill_element(self, payload: dict[str, Any]) -> bool:
+        return self.qm.kill_element(
+            handle_from_record(payload["handle"]), payload["eid"]
+        )
+
+    def _op_depth(self, payload: dict[str, Any]) -> int:
+        return self.qm.depth(payload["queue"])
 
 
 class RemoteQueueManager:
-    """Clerk-side stub for a queue manager living across the network.
+    """Caller-side stub for a queue manager living across the network.
 
     Duck-type compatible with :class:`QueueManager` for every operation
-    the clerk performs (register, deregister, enqueue, dequeue, read,
-    kill_element) — a :class:`~repro.core.clerk.Clerk` works unchanged
-    with one of these as its ``request_qm`` / ``reply_qm``.
+    the clerk and the server loop perform — a
+    :class:`~repro.core.clerk.Clerk` works unchanged with one of these
+    as its ``request_qm`` / ``reply_qm``.
 
-    All operations are auto-commit (``txn`` must be ``None``): the
-    clerk's Sends and Receives each run in their own server-side
-    transaction, per Figure 3.
+    This base stub speaks to one service over one transport and is
+    auto-commit only (``txn`` must be ``None``): the clerk's Sends and
+    Receives each run in their own server-side transaction, per
+    Figure 3.
     """
 
     def __init__(self, transport: Transport):
@@ -173,12 +245,24 @@ class RemoteQueueManager:
               timeout: float | None = None) -> Any:
         return unwrap(self.transport.request(payload, timeout=timeout))
 
+    # -- routing hooks ---------------------------------------------------
+
+    def _route(self, qname: str) -> tuple[Callable[..., Any], Any]:
+        """The call serving queue ``qname``, plus a token naming where
+        that is (handed back to :meth:`_branch_id`)."""
+        return self._call, None
+
+    def _branch_id(self, txn: Any, where: Any) -> int | None:
+        """The wire id of ``txn``'s branch at ``where``."""
+        self._no_txn(txn)
+        return None
+
     @staticmethod
     def _no_txn(txn: Any) -> None:
         if txn is not None:
             raise ReproError(
-                "RemoteQueueManager operations are auto-commit; "
-                "transactional branches use repro.serve.client stubs"
+                "auto-commit only: Register/Deregister take no transaction over "
+                "the wire, and transactional Enqueue/Dequeue need repro.serve.client"
             )
 
     # -- forwarded operations ------------------------------------------------
@@ -187,17 +271,16 @@ class RemoteQueueManager:
         self, qname: str, registrant: str, stable: bool = True, txn=None
     ) -> tuple[QueueHandle, Any, int | None]:
         self._no_txn(txn)
-        result = self._call(
-            {"op": "register", "queue": qname, "registrant": registrant,
-             "stable": stable}
-        )
+        call, _ = self._route(qname)
+        result = call(op_register(qname, registrant, stable))
         return (
             handle_from_record(result["handle"]), result["tag"], result["eid"]
         )
 
     def deregister(self, handle: QueueHandle, txn=None) -> None:
         self._no_txn(txn)
-        self._call({"op": "deregister", "handle": handle_record(handle)})
+        call, _ = self._route(handle.queue)
+        call(op_deregister(handle))
 
     def enqueue(
         self,
@@ -209,11 +292,10 @@ class RemoteQueueManager:
         priority: int = 0,
         headers: dict[str, Any] | None = None,
     ) -> int:
-        self._no_txn(txn)
-        return self._call(
-            {"op": "enqueue", "handle": handle_record(handle), "body": body,
-             "tag": tag, "priority": priority, "headers": headers}
-        )
+        call, where = self._route(handle.queue)
+        return call(op_enqueue(
+            handle, body, tag, self._branch_id(txn, where), priority, headers
+        ))
 
     def dequeue(
         self,
@@ -226,38 +308,29 @@ class RemoteQueueManager:
         timeout: float | None = None,
         selector=None,
     ) -> Element:
-        self._no_txn(txn)
         if selector is not None:
             raise ReproError("selectors cannot cross the wire")
-        wire_timeout = None
-        if block:
-            wire_timeout = (
-                timeout if timeout is not None else _BLOCK_FOREVER
-            ) + _BLOCK_SLACK
-        record = self._call(
-            {"op": "dequeue", "handle": handle_record(handle), "tag": tag,
-             "error_queue": error_queue, "block": block, "timeout": timeout},
-            timeout=wire_timeout,
+        call, where = self._route(handle.queue)
+        record = call(
+            op_dequeue(handle, tag, error_queue,
+                       self._branch_id(txn, where), block, timeout),
+            timeout=dequeue_wire_timeout(block, timeout),
         )
         return Element.from_record(record)
 
     def registration_info(self, handle: QueueHandle) -> Registration | None:
-        record = self._call(
-            {"op": "registration_info", "handle": handle_record(handle)}
-        )
+        call, _ = self._route(handle.queue)
+        record = call(op_registration_info(handle))
         return None if record is None else Registration.from_record(record)
 
     def read(self, handle: QueueHandle, eid: int) -> Element:
-        record = self._call(
-            {"op": "read", "handle": handle_record(handle), "eid": eid}
-        )
-        return Element.from_record(record)
+        call, _ = self._route(handle.queue)
+        return Element.from_record(call(op_read(handle, eid)))
 
     def kill_element(self, handle: QueueHandle, eid: int) -> bool:
-        return self._call(
-            {"op": "kill_element", "handle": handle_record(handle),
-             "eid": eid}
-        )
+        call, _ = self._route(handle.queue)
+        return call(op_kill_element(handle, eid))
 
     def depth(self, qname: str) -> int:
-        return self._call({"op": "depth", "queue": qname})
+        call, _ = self._route(qname)
+        return call(op_depth(qname))

@@ -195,7 +195,6 @@ class MultiTransactionPipeline:
             self.input_queue(stage_index),
             handler,
             reply_qm=pipeline.system.reply_qm,
-            coordinator=pipeline.system.coordinator,
             trace=pipeline.system.trace,
             injector=pipeline.system.injector,
             final=stage_index == len(self.stages) - 1,

@@ -10,11 +10,13 @@ enqueues the reply, all within a transaction."
   (``Reply(status="failed")``): the paper's "unsuccessfully attempting
   to execute the request, and then returning a reply that indicates
   that fact" — that is still exactly-once processing.
-* When requests and replies live in different repositories
-  (distributed deployment), the server runs one transaction branch per
-  repository and commits them with two-phase commit — or, per
-  Section 6, the application is restructured as a multi-transaction
-  request to avoid 2PC entirely (benchmark F6 compares both).
+* Request and reply queues are queues of one (sharded) repository, so
+  the loop's transaction is routed: a single-shard commit when they
+  share a shard, presumed-abort two-phase commit when a placement puts
+  the reply queue on another node (:mod:`repro.transaction.routing`) —
+  or, per Section 6, the application is restructured as a
+  multi-transaction request to avoid 2PC entirely (benchmark F6
+  compares both).
 
 Trace events: ``request.executed`` is recorded via a commit hook, so it
 appears iff the processing transaction durably committed —
@@ -42,7 +44,6 @@ from repro.queueing.manager import QueueHandle, QueueManager
 from repro.sim.crash import NULL_INJECTOR, FaultInjector
 from repro.sim.trace import TraceRecorder
 from repro.transaction.manager import Transaction
-from repro.transaction.twophase import TwoPhaseCoordinator
 
 logger = logging.getLogger(__name__)
 
@@ -71,7 +72,6 @@ class Server:
         request_queue: str,
         handler: Handler,
         reply_qm: QueueManager | None = None,
-        coordinator: TwoPhaseCoordinator | None = None,
         trace: TraceRecorder | None = None,
         injector: FaultInjector | None = None,
         selector: Callable[..., bool] | None = None,
@@ -81,9 +81,14 @@ class Server:
         self.request_qm = request_qm
         self.request_queue = request_queue
         self.handler = handler
-        #: where reply queues live; defaults to the request repository
+        #: where replies are enqueued; must front the same repository,
+        #: since the reply rides the transaction that dequeued the request
         self.reply_qm = reply_qm if reply_qm is not None else request_qm
-        self.coordinator = coordinator
+        if self.reply_qm.repo is not request_qm.repo:
+            raise ValueError(
+                "request and reply queues must live in one repository (one "
+                "transaction covers both); place replies on another shard instead"
+            )
         self.trace = trace
         self.injector = injector if injector is not None else NULL_INJECTOR
         self.selector = selector
@@ -114,12 +119,6 @@ class Server:
             "request_processing_seconds",
             "dequeue-to-commit processing time", ("server",),
         ).labels(server=name)
-        self._distributed = self.reply_qm.repo is not self.request_qm.repo
-        if self._distributed and coordinator is None:
-            raise ValueError(
-                "request and reply queues live in different repositories; "
-                "a TwoPhaseCoordinator is required"
-            )
         # Figure 5: Register(req_q, ap_id, FALSE) — servers don't need tags.
         self._h_in, _, _ = request_qm.register(request_queue, name, stable=False)
         self._reply_handles: dict[str, QueueHandle] = {}
@@ -137,26 +136,20 @@ class Server:
         no eligible element.  Aborts propagate the causing exception
         after the transaction has rolled back (the request is back in
         the queue or moved to the error queue)."""
-        if self._distributed:
-            return self._process_one_2pc(block, timeout)
         try:
             with self.request_qm.repo.tm.transaction() as txn:
-                done = self._attempt(txn, txn, block, timeout)
+                self._attempt(txn, block, timeout)
         except QueueEmpty:
             self.stats.empty_polls += 1
             self._m_empty_polls.inc()
             return False
-        return done
+        return True
 
     def _attempt(
-        self,
-        request_txn: Transaction,
-        reply_txn: Transaction,
-        block: bool,
-        timeout: float | None,
-    ) -> bool:
+        self, txn: Transaction, block: bool, timeout: float | None
+    ) -> None:
         element = self.request_qm.dequeue(
-            self._h_in, txn=request_txn, block=block, timeout=timeout,
+            self._h_in, txn=txn, block=block, timeout=timeout,
             selector=self.selector,
         )
         request = Request.from_body(element.body)
@@ -187,15 +180,14 @@ class Server:
             if self.trace is not None:
                 self.trace.record("request.attempt_aborted", rid, server=self.name)
 
-        request_txn.on_abort(record_abort)
-        # The handler's database work belongs to the REQUEST node's
-        # transaction (application tables live beside the request
-        # queue); only the reply enqueue uses the reply node's branch.
+        txn.on_abort(record_abort)
+        # One transaction for dequeue, handler and reply; each lands on
+        # the branch of the shard that owns the queue or table it touches.
         with self._tracer.use_span(span):
-            reply_body = self.handler(request_txn, request)
+            reply_body = self.handler(txn, request)
             self.injector.reach("server.after_process")
             reply = self._as_reply(rid, reply_body)
-            self._enqueue_reply(reply_txn, request, reply, span)
+            self._enqueue_reply(txn, request, reply, span)
         self.injector.reach("server.before_commit")
 
         def record_commit() -> None:
@@ -210,8 +202,7 @@ class Server:
             span.end("ok")
             self._trace_commit(rid, reply)
 
-        request_txn.on_commit(record_commit)
-        return True
+        txn.on_commit(record_commit)
 
     def _trace_commit(self, rid: str, reply: Reply) -> None:
         """Trace hook run when a processing transaction commits.
@@ -252,37 +243,6 @@ class Server:
             txn=txn,
             headers=headers,
         )
-
-    # ------------------------------------------------------------------
-    # Distributed variant: request repo + reply repo under 2PC
-    # ------------------------------------------------------------------
-
-    def _process_one_2pc(self, block: bool, timeout: float | None) -> bool:
-        request_tm = self.request_qm.repo.tm
-        reply_tm = self.reply_qm.repo.tm
-        request_txn = request_tm.begin()
-        reply_txn = reply_tm.begin()
-        try:
-            self._attempt(request_txn, reply_txn, block, timeout)
-        except QueueEmpty:
-            request_tm.abort(request_txn, "empty")
-            reply_tm.abort(reply_txn, "empty")
-            self.stats.empty_polls += 1
-            self._m_empty_polls.inc()
-            return False
-        except BaseException as exc:
-            from repro.errors import SimulatedCrash
-
-            if not isinstance(exc, SimulatedCrash):
-                for tm, txn in ((request_tm, request_txn), (reply_tm, reply_txn)):
-                    if not txn.status.terminal:
-                        tm.abort(txn, "server failure")
-            raise
-        assert self.coordinator is not None
-        decision = self.coordinator.commit(
-            [(request_tm, request_txn), (reply_tm, reply_txn)]
-        )
-        return decision == "commit"
 
     # ------------------------------------------------------------------
     # Threaded operation (Figure 5's "While (true)" loop)

@@ -1,10 +1,13 @@
 """The System Model — Figure 4's wiring.
 
-A :class:`TPSystem` assembles the pieces: a queue repository (or two,
-for the distributed variant), the request queue with its error queue,
-per-client private reply queues (Section 5's multiple-clients
-extension), a shared trace recorder, and factories for clerks, clients,
-and servers.
+A :class:`TPSystem` assembles the pieces: one (sharded) queue
+repository, the request queue with its error queue, per-client private
+reply queues (Section 5's multiple-clients extension), a shared trace
+recorder, and factories for clerks, clients, and servers.  "Replies on
+another node" is a placement (``shards=2,
+placement=PinnedPlacement({"req.q": 0, "req.err": 0, "reply.c1": 1})``),
+not a second repository: the server's one transaction then commits by
+two-phase commit (:mod:`repro.transaction.routing`).
 
 Crash/restart protocol for tests and benchmarks::
 
@@ -14,10 +17,12 @@ Crash/restart protocol for tests and benchmarks::
     client = system.client("c1", work, device)
     client.run()             # Figure 2 resynchronizes automatically
 
-``reopen`` rebuilds every repository from its (crashed, then recovered)
-disk, preserving the trace so guarantee checks span the failure.
+``reopen`` rebuilds every repository shard from its (crashed, then
+recovered) disk, preserving the trace so guarantee checks span the
+failure.
 
-Deployment modes (the transport-abstraction refactor):
+Deployment modes (they decide only how the repository, its queue
+manager and the process supervisor are built):
 
 * ``deployment="inproc"`` (default) — everything in this process over
   simulated disks, byte-identical to the layout every chaos schedule
@@ -27,7 +32,8 @@ Deployment modes (the transport-abstraction refactor):
   disk under ``data_dir``; clerks and servers run in the driver
   against remote facades, and ``kill_shard`` is a real ``SIGKILL``
   whose restart runs real recovery (see :mod:`repro.serve` and
-  ``docs/deployment.md``).
+  ``docs/deployment.md``).  In-process-only arguments (simulated
+  disks, injectors, group commit, checkpoints, replication) are refused.
 """
 
 from __future__ import annotations
@@ -50,8 +56,8 @@ from repro.sim.crash import NULL_INJECTOR, FaultInjector
 from repro.sim.trace import TraceRecorder
 from repro.storage.disk import Disk, MemDisk
 from repro.storage.groupcommit import GroupCommitConfig
+from repro.transaction.cc import check_cc_policy
 from repro.transaction.deterministic import DeterministicLane
-from repro.transaction.twophase import TwoPhaseCoordinator
 
 REQUEST_QUEUE = "req.q"
 ERROR_QUEUE = "req.err"
@@ -63,7 +69,6 @@ class TPSystem:
     def __init__(
         self,
         request_disk: Disk | None = None,
-        reply_disk: Disk | None = None,
         injector: FaultInjector | None = None,
         trace: TraceRecorder | None = None,
         obs: Observability | None = None,
@@ -73,7 +78,6 @@ class TPSystem:
         max_aborts: int = 3,
         queue_mode: DequeueMode = DequeueMode.SKIP_LOCKED,
         count_crash_attempts: bool = False,
-        separate_reply_node: bool = False,
         group_commit: GroupCommitConfig | None = None,
         shards: int = 1,
         shard_disks: Sequence[Disk] | None = None,
@@ -87,118 +91,101 @@ class TPSystem:
         data_dir: str | None = None,
         auto_restart: bool = False,
     ):
+        if deployment not in ("inproc", "tcp"):
+            raise ValueError(f"unknown deployment {deployment!r}")
+        check_cc_policy(cc)
+        if deployment == "tcp":
+            # What a repro-shardd process cannot be handed or does not
+            # run (docs/deployment.md): refused here, never dropped.
+            in_process_only = {
+                "request_disk": request_disk is not None,
+                "shard_disks": bool(shard_disks),
+                "group_commit": group_commit is not None,
+                "checkpoint_interval_bytes": checkpoint_interval_bytes is not None,
+                "replicate": replicate,
+                "injector": injector is not None and injector is not NULL_INJECTOR,
+            }
+            refused = [name for name, given in in_process_only.items() if given]
+            if refused:
+                raise ValueError(
+                    f"the tcp deployment does not combine with {', '.join(refused)} "
+                    "(shards are processes over file disks; inject faults with kill_shard)"
+                )
         self.injector = injector if injector is not None else NULL_INJECTOR
         self.trace = trace if trace is not None else TraceRecorder()
         self.obs = obs if obs is not None else get_observability()
         self.request_queue = request_queue
         self.error_queue = error_queue
-        if deployment not in ("inproc", "tcp"):
-            raise ValueError(f"unknown deployment {deployment!r}")
         self.deployment = deployment
-        self.supervisor = None  # set by the tcp deployment
-        if deployment == "tcp":
-            if replicate or separate_reply_node:
-                raise ValueError(
-                    "the tcp deployment does not combine with replication "
-                    "or the legacy separate reply node"
-                )
-            if injector is not None and injector is not NULL_INJECTOR:
-                raise ValueError(
-                    "fault injectors are in-process; the tcp deployment "
-                    "injects faults by SIGKILLing shards (kill_shard)"
-                )
-            if cc not in ("2pl", "auto", "deterministic"):
-                raise ValueError(
-                    f"unknown concurrency-control policy {cc!r}"
-                )
-            self._init_tcp(
-                data_dir=data_dir,
-                shards=shards,
-                placement=placement,
-                cc=cc,
-                max_aborts=max_aborts,
-                queue_mode=queue_mode,
-                count_crash_attempts=count_crash_attempts,
-                auto_restart=auto_restart,
-            )
-            return
         self.group_commit = (
             group_commit if group_commit is not None else GroupCommitConfig()
         )
-        if shard_disks:
-            shards = len(shard_disks)
-        if shards > 1 and separate_reply_node:
-            raise ValueError(
-                "separate_reply_node is the two-repository legacy layout; "
-                "with shards > 1, reply queues are placed across the shards"
-            )
-        if replicate and separate_reply_node:
-            raise ValueError(
-                "replication covers the (sharded) request repository; "
-                "the legacy separate reply node has no standby"
-            )
-        if cc not in ("2pl", "auto", "deterministic"):
-            raise ValueError(f"unknown concurrency-control policy {cc!r}")
         self.cc = cc
         self.placement = placement
+        #: what reopen/fail_over rebuild with, besides disks and standbys
         self._config = {
+            "trace": self.trace,
+            "obs": self.obs,
+            "request_queue": request_queue,
+            "error_queue": error_queue,
             "max_aborts": max_aborts,
             "queue_mode": queue_mode,
             "count_crash_attempts": count_crash_attempts,
-            "separate_reply_node": separate_reply_node,
             "group_commit": self.group_commit,
-            "shards": shards,
+            "placement": placement,
             "checkpoint_interval_bytes": checkpoint_interval_bytes,
-            "replicate": replicate,
             "cc": cc,
         }
 
-        if shard_disks:
-            disks = list(shard_disks)
-        else:
-            disks = [request_disk if request_disk is not None else MemDisk()]
-            disks.extend(MemDisk() for _ in range(shards - 1))
-        self.shard_disks: list[Disk] = disks
-        self.request_disk = disks[0]
-        self.request_repo = ShardedRepository(
-            "reqnode", disks, self.injector, obs=self.obs,
-            group_commit=self.group_commit, placement=placement,
-            checkpoint_interval_bytes=checkpoint_interval_bytes,
-        )
-        # "auto" and "deterministic" both route the queue-shaped
-        # transaction class (auto-commit single-queue enqueues and
-        # non-waiting dequeues) through the deterministic lane; other
-        # work stays on 2PL either way, so today the two policies
-        # differ only in intent ("deterministic" documents that the
-        # workload is expected to be lane-shaped).
-        self.det_lane = (
-            DeterministicLane(
-                self.request_repo, obs=self.obs, injector=self.injector
-            )
-            if cc != "2pl"
-            else None
-        )
-        self.request_qm = QueueManager(
-            self.request_repo, cc=cc, lane=self.det_lane
-        )
+        self.supervisor = None
+        self.data_dir = data_dir
+        self.det_lane = None
+        if deployment == "tcp":
+            import tempfile
 
-        if separate_reply_node:
-            self.reply_disk: Disk = reply_disk if reply_disk is not None else MemDisk()
-            self.reply_repo = ShardedRepository(
-                "repnode", [self.reply_disk], self.injector, obs=self.obs,
-                group_commit=self.group_commit,
+            from repro.serve.client import RemoteRepository, RemoteShardedQueueManager
+            from repro.serve.supervisor import ShardSupervisor
+
+            if data_dir is None:
+                self.data_dir = tempfile.mkdtemp(prefix="repro-tcp-")
+            self.shard_disks: list[Disk] = []
+            self.supervisor = ShardSupervisor(
+                self.data_dir, shards, name="reqnode", cc=cc,
+                auto_restart=auto_restart,
+            )
+            endpoints = [("127.0.0.1", s.port) for s in self.supervisor.shards]
+            self.request_repo = RemoteRepository(
+                "reqnode", endpoints, placement=placement, obs=self.obs,
+            )
+            self.request_qm = RemoteShardedQueueManager(self.request_repo)
+        else:
+            if shard_disks:
+                self.shard_disks = list(shard_disks)
+            else:
+                self.shard_disks = [
+                    request_disk if request_disk is not None else MemDisk()
+                ]
+                self.shard_disks.extend(MemDisk() for _ in range(shards - 1))
+            self.request_repo = ShardedRepository(
+                "reqnode", self.shard_disks, self.injector, obs=self.obs,
+                group_commit=self.group_commit, placement=placement,
                 checkpoint_interval_bytes=checkpoint_interval_bytes,
             )
-            self.reply_qm = QueueManager(self.reply_repo)
-            self.coordinator: TwoPhaseCoordinator | None = TwoPhaseCoordinator(
-                self.request_repo.log, name="server-2pc", injector=self.injector,
-                obs=self.obs,
+            # The deterministic lane takes the queue-shaped transaction
+            # class (auto-commit single-queue enqueues and non-waiting
+            # dequeues); other work stays on 2PL.
+            if cc == "deterministic":
+                self.det_lane = DeterministicLane(
+                    self.request_repo, obs=self.obs, injector=self.injector
+                )
+            self.request_qm = QueueManager(
+                self.request_repo, cc=cc, lane=self.det_lane
             )
-        else:
-            self.reply_disk = self.request_disk
-            self.reply_repo = self.request_repo
-            self.reply_qm = self.request_qm
-            self.coordinator = None
+        self.request_disk = self.shard_disks[0] if self.shard_disks else None
+        # Replies "on another node" are reply queues placed on another
+        # shard of the one repository, so these are plain aliases.
+        self.reply_repo = self.request_repo
+        self.reply_qm = self.request_qm
 
         if request_queue not in self.request_repo.queues:
             self.request_repo.create_queue(
@@ -225,100 +212,34 @@ class TPSystem:
             self.failover_controller = self.replicas.controller
 
     # ------------------------------------------------------------------
-    # TCP deployment (shards as OS processes; repro.serve)
+    # Shard processes (tcp deployment; repro.serve)
     # ------------------------------------------------------------------
 
-    def _init_tcp(
-        self,
-        data_dir: str | None,
-        shards: int,
-        placement: PlacementPolicy | None,
-        cc: str,
-        max_aborts: int,
-        queue_mode: DequeueMode,
-        count_crash_attempts: bool,
-        auto_restart: bool,
-    ) -> None:
-        import tempfile
-
-        from repro.serve.client import (
-            RemoteRepository,
-            RemoteShardedQueueManager,
-        )
-        from repro.serve.supervisor import ShardSupervisor
-
-        self.cc = cc
-        self.placement = placement
-        self.group_commit = GroupCommitConfig()
-        self.det_lane = None
-        self.replicas = None
-        self.failover_controller = None
-        self.coordinator = None
-        self.shard_disks = []
-        self.request_disk = self.reply_disk = None
-        self.data_dir = (
-            data_dir if data_dir is not None
-            else tempfile.mkdtemp(prefix="repro-tcp-")
-        )
-        self._config = {
-            "max_aborts": max_aborts,
-            "queue_mode": queue_mode,
-            "count_crash_attempts": count_crash_attempts,
-            "separate_reply_node": False,
-            "group_commit": self.group_commit,
-            "shards": shards,
-            "checkpoint_interval_bytes": None,
-            "replicate": False,
-            "cc": cc,
-        }
-        self.supervisor = ShardSupervisor(
-            self.data_dir, shards, name="reqnode", cc=cc,
-            auto_restart=auto_restart,
-        )
-        endpoints = [("127.0.0.1", s.port) for s in self.supervisor.shards]
-        self.request_repo = RemoteRepository(
-            "reqnode", endpoints, placement=placement, obs=self.obs,
-        )
-        self.reply_repo = self.request_repo
-        self.request_qm = RemoteShardedQueueManager(self.request_repo)
-        self.reply_qm = self.request_qm
-        if self.request_queue not in self.request_repo.queues:
-            self.request_repo.create_queue(
-                self.request_queue,
-                error_queue=self.error_queue,
-                max_aborts=max_aborts,
-                mode=queue_mode,
-                count_crash_attempts=count_crash_attempts,
-                index_headers=("rid",),
+    def _require(self, deployment: str, what: str) -> None:
+        """Crash and restart differ by deployment: simulated disks
+        crash/reopen in-process, shard processes are killed/restarted."""
+        if self.deployment != deployment:
+            raise ValueError(
+                f"{what} requires TPSystem(deployment={deployment!r}) (in-process: "
+                f"crash/crash_shard/reopen; tcp: kill_shard/restart_shard)"
             )
-        if self.error_queue not in self.request_repo.queues:
-            self.request_repo.create_queue(self.error_queue)
-
-    def _tcp_only(self, what: str) -> None:
-        if self.deployment != "tcp":
-            raise ValueError(f"{what} requires TPSystem(deployment='tcp')")
 
     def kill_shard(self, index: int) -> None:
         """SIGKILL shard ``index``'s process — the real ``node.kill``."""
-        self._tcp_only("kill_shard")
+        self._require("tcp", "kill_shard")
         self.supervisor.kill(index)
 
     def restart_shard(self, index: int) -> None:
         """Boot shard ``index`` again over its data directory: restart
         recovery plus the supervisor's in-doubt 2PC resolution pass."""
-        self._tcp_only("restart_shard")
+        self._require("tcp", "restart_shard")
         self.supervisor.restart(index)
 
     def close(self) -> None:
         """Release the system's resources (both deployments)."""
-        if self.deployment == "tcp":
-            self.request_repo.close()
+        self.request_repo.close()
+        if self.supervisor is not None:
             self.supervisor.close()
-            return
-        repos = {id(self.request_repo): self.request_repo,
-                 id(self.reply_repo): self.reply_repo}.values()
-        for repo in repos:
-            repo.close()
         if self.replicas is not None:
             self.replicas.detach()
 
@@ -384,7 +305,6 @@ class TPSystem:
             request_queue or self.request_queue,
             handler,
             reply_qm=self.reply_qm,
-            coordinator=self.coordinator,
             trace=self.trace,
             injector=self.injector,
             selector=selector,
@@ -403,17 +323,7 @@ class TPSystem:
                 status=REPLY_FAILED,
             )
 
-        return Server(
-            name,
-            self.request_qm,
-            self.error_queue,
-            handler,
-            reply_qm=self.reply_qm,
-            coordinator=self.coordinator,
-            trace=self.trace,
-            injector=self.injector,
-            obs=self.obs,
-        )
+        return self.server(name, handler, request_queue=self.error_queue)
 
     # ------------------------------------------------------------------
     # Tables (application state on the request node)
@@ -441,23 +351,16 @@ class TPSystem:
         unknowable, exactly as a power failure would, so recovery sees
         only the durable prefix.
         """
-        if self.deployment == "tcp":
-            raise ValueError(
-                "reopen is the in-process restart; the tcp deployment "
-                "restarts real processes via kill_shard/restart_shard"
-            )
-        repos = {id(self.request_repo): self.request_repo,
-                 id(self.reply_repo): self.reply_repo}.values()
-        for repo in repos:
-            # Stop the old process's background checkpointers before
-            # the new one starts its own over the same disks.
-            repo.close()
+        self._require("inproc", "reopen")
+        # Stop the old process's background checkpointers before the
+        # new one starts its own over the same disks.
+        self.request_repo.close()
         if self.replicas is not None:
             # The standbys survive the restart on their own disks; the
             # rebuilt system re-attaches fresh shippers to them.
             self.replicas.detach()
-        panicked = any(repo.wal_panicked for repo in repos)
-        for disk in self._all_disks():
+        panicked = self.request_repo.wal_panicked
+        for disk in self.shard_disks:
             crashed = getattr(disk, "crashed", None)
             if panicked and crashed is False:
                 disk.crash()
@@ -465,26 +368,13 @@ class TPSystem:
             if crashed and hasattr(disk, "recover"):
                 disk.recover()
         return TPSystem(
-            request_disk=self.request_disk,
-            reply_disk=self.reply_disk if self._config["separate_reply_node"] else None,
+            **self._config,
             injector=injector,
-            trace=self.trace,
-            obs=self.obs,
-            request_queue=self.request_queue,
-            error_queue=self.error_queue,
-            max_aborts=self._config["max_aborts"],
-            queue_mode=self._config["queue_mode"],
-            count_crash_attempts=self._config["count_crash_attempts"],
-            separate_reply_node=self._config["separate_reply_node"],
-            group_commit=self._config["group_commit"],
-            shard_disks=self.shard_disks if self._config["shards"] > 1 else None,
-            placement=self.placement,
-            checkpoint_interval_bytes=self._config["checkpoint_interval_bytes"],
-            replicate=self._config["replicate"],
+            shard_disks=self.shard_disks,
+            replicate=self.replicas is not None,
             standby_disks=(self.replicas.standby_disks()
                            if self.replicas is not None else None),
             replica_controller=self.failover_controller,
-            cc=self._config["cc"],
         )
 
     def fail_over(
@@ -523,10 +413,7 @@ class TPSystem:
             for position, standby in enumerate(self.replicas.standbys)
         ]
         self.replicas.detach()
-        repos = {id(self.request_repo): self.request_repo,
-                 id(self.reply_repo): self.reply_repo}.values()
-        for repo in repos:
-            repo.close()
+        self.request_repo.close()
         # The old primary is dead by definition of a failover; make
         # sure nothing can quietly keep using its disk.
         deposed = self.shard_disks[index]
@@ -546,22 +433,12 @@ class TPSystem:
             if crashed and hasattr(disk, "recover"):
                 disk.recover()
         system = TPSystem(
+            **self._config,
             injector=injector,
-            trace=self.trace,
-            obs=self.obs,
-            request_queue=self.request_queue,
-            error_queue=self.error_queue,
-            max_aborts=self._config["max_aborts"],
-            queue_mode=self._config["queue_mode"],
-            count_crash_attempts=self._config["count_crash_attempts"],
-            group_commit=self._config["group_commit"],
             shard_disks=disks,
-            placement=self.placement,
-            checkpoint_interval_bytes=self._config["checkpoint_interval_bytes"],
             replicate=True,
             standby_disks=standby_disks,
             replica_controller=controller,
-            cc=self._config["cc"],
         )
         rto = perf_counter() - started
         if controller is not None:
@@ -569,23 +446,13 @@ class TPSystem:
         self.obs.flight.record("failover.complete", shard=index, rto=rto)
         return system
 
-    def _all_disks(self) -> list[Disk]:
-        """Every distinct disk of every repository shard, in order."""
-        seen: dict[int, Disk] = {}
-        for disk in (*self.shard_disks, self.reply_disk):
-            seen.setdefault(id(disk), disk)
-        return list(seen.values())
-
     def crash(self) -> None:
         """Crash every node now (used by scenarios that crash between
         protocol steps rather than via an injector point).  Duck-typed:
         any disk exposing ``crash``/``crashed`` participates, including
         decorators like :class:`~repro.storage.faults.FaultyDisk`."""
-        if self.deployment == "tcp":
-            raise ValueError(
-                "the tcp deployment crashes real processes: kill_shard"
-            )
-        for disk in self._all_disks():
+        self._require("inproc", "crash")
+        for disk in self.shard_disks:
             if getattr(disk, "crashed", None) is False:
                 disk.crash()
 
@@ -594,6 +461,7 @@ class TPSystem:
 
         The rest of the system keeps running; transactions touching the
         crashed shard fail until :meth:`reopen` recovers it."""
+        self._require("inproc", "crash_shard")
         disk = self.request_repo.disks[index]
         if getattr(disk, "crashed", None) is False:
             disk.crash()
@@ -649,22 +517,13 @@ class TPSystem:
         unsharded layout.
         """
         if by_shard:
-            depths = {
+            return {
                 f"s{index}:{name}": depth
                 for index, shard_depths in
                 self.request_repo.depths_by_shard().items()
                 for name, depth in shard_depths.items()
             }
-        else:
-            depths = {
-                name: queue.depth()
-                for name, queue in self.request_repo.queues.items()
-            }
-        if self.reply_repo is not self.request_repo:
-            depths.update(
-                {
-                    f"reply:{name}": queue.depth()
-                    for name, queue in self.reply_repo.queues.items()
-                }
-            )
-        return depths
+        return {
+            name: queue.depth()
+            for name, queue in self.request_repo.queues.items()
+        }

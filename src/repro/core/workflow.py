@@ -122,7 +122,6 @@ class ForkJoinCoordinator:
             self.system.request_queue,
             handler,
             reply_qm=self.system.reply_qm,
-            coordinator=self.system.coordinator,
             trace=self.system.trace,
             injector=self.system.injector,
             final=False,

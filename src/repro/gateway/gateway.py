@@ -29,14 +29,14 @@ from __future__ import annotations
 import asyncio
 from typing import Any
 
+from repro.comm import remote
 from repro.comm.wire import DEFAULT_MAX_FRAME
 from repro.core.request import Request, make_rid
 from repro.errors import Busy, CommError, ReproError
 from repro.obs import Observability, get_observability
+from repro.queueing.manager import QueueHandle
 from repro.queueing.placement import ConsistentHashPlacement, PlacementPolicy
 
-#: see repro.comm.remote — blocking dequeues get wire-level slack
-_BLOCK_SLACK = 5.0
 _DEFAULT_RECEIVE_TIMEOUT = 30.0
 
 
@@ -141,8 +141,7 @@ class Gateway:
 
     async def _true_depth(self) -> int:
         return await self._call(
-            self.request_queue,
-            {"op": "depth", "queue": self.request_queue},
+            self.request_queue, remote.op_depth(self.request_queue)
         )
 
     async def _refresh_loop(self) -> None:
@@ -203,19 +202,13 @@ class Gateway:
         queue and register it with the request queue (the async
         Connect of Figure 5)."""
         reply_queue = f"reply.{client_id}"
-        await self._call(reply_queue, {
-            "op": "create_queue", "queue": reply_queue, "config": {},
-        })
+        await self._call(reply_queue, remote.op_create_queue(reply_queue, {}))
         self._locations.setdefault(
             reply_queue, self._shard_of(reply_queue))
-        request_reg = await self._call(self.request_queue, {
-            "op": "register", "queue": self.request_queue,
-            "registrant": client_id, "stable": True,
-        })
-        await self._call(reply_queue, {
-            "op": "register", "queue": reply_queue,
-            "registrant": client_id, "stable": True,
-        })
+        request_reg = await self._call(
+            self.request_queue, remote.op_register(self.request_queue, client_id)
+        )
+        await self._call(reply_queue, remote.op_register(reply_queue, client_id))
         return GatewaySession(
             self, client_id, reply_queue,
             last_rid=request_reg["tag"],
@@ -237,12 +230,8 @@ class GatewaySession:
         self._sequence += 1
         return make_rid(self.client_id, self._sequence)
 
-    def _handle(self, queue: str) -> dict[str, str]:
-        return {
-            "repository": self.gateway.repository,
-            "queue": queue,
-            "registrant": self.client_id,
-        }
+    def _handle(self, queue: str) -> QueueHandle:
+        return QueueHandle(self.gateway.repository, queue, self.client_id)
 
     async def submit(self, body: Any, priority: int = 0) -> str:
         """Admission-checked async Send; returns the rid.  Raises
@@ -256,15 +245,11 @@ class GatewaySession:
             reply_to=self.reply_queue,
         )
         try:
-            await gateway._call(gateway.request_queue, {
-                "op": "enqueue",
-                "handle": self._handle(gateway.request_queue),
-                "body": request.to_body(),
-                "tag": rid,
-                "txn": None,
-                "priority": priority,
-                "headers": {"rid": rid, "reply_to": self.reply_queue},
-            })
+            await gateway._call(gateway.request_queue, remote.op_enqueue(
+                self._handle(gateway.request_queue), request.to_body(),
+                tag=rid, priority=priority,
+                headers={"rid": rid, "reply_to": self.reply_queue},
+            ))
         except BaseException:
             gateway._release(consumed_request=False)
             raise
@@ -280,29 +265,22 @@ class GatewaySession:
         received reply releases one in-flight slot and debits the depth
         estimate (a reply implies the back end consumed a request)."""
         gateway = self.gateway
-        wire_timeout = (
-            (timeout if timeout is not None else 3600.0) + _BLOCK_SLACK
+        record = await gateway._call(
+            self.reply_queue,
+            remote.op_dequeue(self._handle(self.reply_queue),
+                              tag=[self.last_rid, None], block=True, timeout=timeout),
+            timeout=remote.dequeue_wire_timeout(True, timeout),
         )
-        record = await gateway._call(self.reply_queue, {
-            "op": "dequeue",
-            "handle": self._handle(self.reply_queue),
-            "tag": [self.last_rid, None],
-            "error_queue": None,
-            "txn": None,
-            "block": True,
-            "timeout": timeout,
-        }, timeout=wire_timeout)
         gateway._release(consumed_request=True)
         return record["body"]
 
     async def close(self) -> None:
         """Disconnect: deregister from both queues."""
         gateway = self.gateway
-        await gateway._call(gateway.request_queue, {
-            "op": "deregister",
-            "handle": self._handle(gateway.request_queue),
-        })
-        await gateway._call(self.reply_queue, {
-            "op": "deregister",
-            "handle": self._handle(self.reply_queue),
-        })
+        await gateway._call(
+            gateway.request_queue,
+            remote.op_deregister(self._handle(gateway.request_queue)),
+        )
+        await gateway._call(
+            self.reply_queue, remote.op_deregister(self._handle(self.reply_queue))
+        )

@@ -14,8 +14,8 @@
 * a registrant-supplied *tag* rides every Enqueue/Dequeue atomically
   into the persistent registration record (Section 4.3).
 
-When the facade is built with a deterministic lane (``cc="auto"`` or
-``"deterministic"``), auto-commit single-queue enqueues and
+When the facade is built with a deterministic lane
+(``cc="deterministic"``), auto-commit single-queue enqueues and
 non-waiting dequeues — the queue-shaped transaction class — are
 routed to the lane's plan queues instead of opening a 2PL transaction;
 see :mod:`repro.transaction.deterministic` for the routing rationale.
@@ -59,8 +59,8 @@ class QueueManager:
     ):
         self.repo = repo
         #: concurrency-control policy: "2pl" (seed behavior), or
-        #: "auto"/"deterministic", which route the queue-shaped
-        #: transaction class through ``lane``
+        #: "deterministic", which routes the queue-shaped transaction
+        #: class through ``lane``
         self.cc = cc
         self.lane = lane if cc != "2pl" else None
         obs = obs if obs is not None else repo.obs

@@ -9,7 +9,10 @@ first-touched shard coordinating).  Here they run unchanged — their
 ``shard_tm(i)`` just returns a :class:`RemoteShardTM` whose branches
 live in another OS process, and their per-shard coordinator is a
 :class:`RemoteTwoPhaseCoordinator` that forces the decision record on
-the coordinator *shard's* log over the wire.
+the coordinator *shard's* log over the wire.  The queue-manager stub
+is reused too: :class:`RemoteShardedQueueManager` only overrides the
+two routing hooks of :class:`repro.comm.remote.RemoteQueueManager`,
+where the operation bodies and wire payloads live.
 
 Branch-status mirroring: a :class:`RemoteBranch` keeps a client-side
 copy of the server transaction's status, updated by the outcome of
@@ -40,8 +43,9 @@ import os
 import threading
 import time
 from collections.abc import Mapping
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
+from repro.comm.remote import RemoteQueueManager, op_create_queue, op_depth
 from repro.comm.transport import TcpTransport, Transport
 from repro.comm.wire import unwrap
 from repro.errors import (
@@ -55,17 +59,10 @@ from repro.errors import (
     TwoPhaseInDoubtError,
 )
 from repro.obs import Observability
-from repro.queueing.element import Element
-from repro.queueing.manager import QueueHandle
 from repro.queueing.placement import ConsistentHashPlacement, PlacementPolicy
 from repro.queueing.queue import DequeueMode
-from repro.queueing.registration import Registration
 from repro.transaction.ids import TxnStatus
 from repro.transaction.routing import RoutedTransaction, ShardedTransactionManager
-
-#: see repro.comm.remote — same blocking-dequeue timeout discipline
-_BLOCK_SLACK = 5.0
-_BLOCK_FOREVER = 3600.0
 
 
 class ShardClient:
@@ -385,7 +382,7 @@ class _RemoteQueue:
         self.name = name
 
     def depth(self) -> int:
-        return self._client.call({"op": "depth", "queue": self.name})
+        return self._client.call(op_depth(self.name))
 
 
 class _RemoteQueues(Mapping):
@@ -534,8 +531,7 @@ class RemoteRepository:
         if shard is None:
             shard = self.shard_of(qname)
         self.clients[shard].call(
-            {"op": "create_queue", "queue": qname,
-             "config": self._wire_config(config)}
+            op_create_queue(qname, self._wire_config(config))
         )
         self._locations[qname] = shard
         if error_queue is not None:
@@ -582,131 +578,28 @@ class RemoteRepository:
 # ---------------------------------------------------------------------------
 
 
-class RemoteShardedQueueManager:
-    """The :class:`~repro.queueing.manager.QueueManager` surface over
-    shard processes: operations route by queue name, and a routed
-    transaction's operations resolve to (and lazily open) its branch on
-    the owning shard — the same contract the in-process sharded views
-    implement, carried as a branch id on the wire.
+class RemoteShardedQueueManager(RemoteQueueManager):
+    """:class:`~repro.comm.remote.RemoteQueueManager` routed over shard
+    processes: each operation goes to the shard owning its queue, and a
+    routed transaction's operations resolve to (and lazily open) its
+    branch on that shard — the same contract the in-process sharded
+    views implement, carried as a branch id on the wire.
     """
 
     def __init__(self, repo: RemoteRepository):
         self.repo = repo
 
-    # -- routing helpers -------------------------------------------------
-
-    def _target(self, qname: str) -> tuple[ShardClient, int]:
+    def _route(self, qname: str) -> tuple[Callable[..., Any], int]:
         shard = self.repo.shard_of(qname)
-        return self.repo.clients[shard], shard
+        return self.repo.clients[shard].call, shard
 
-    @staticmethod
-    def _branch_id(txn: Any, shard: int) -> int | None:
+    def _branch_id(self, txn: Any, where: int) -> int | None:
         if txn is None:
             return None
         if isinstance(txn, RoutedTransaction):
-            return txn.branch_for(shard).id
+            return txn.branch_for(where).id
         if isinstance(txn, RemoteBranch):
             return txn.id
         raise ReproError(
             f"cannot route a {type(txn).__name__} over the wire"
         )
-
-    @staticmethod
-    def _handle_record(handle: QueueHandle) -> dict[str, str]:
-        return {
-            "repository": handle.repository,
-            "queue": handle.queue,
-            "registrant": handle.registrant,
-        }
-
-    # -- QueueManager surface --------------------------------------------
-
-    def register(
-        self, qname: str, registrant: str, stable: bool = True, txn=None
-    ) -> tuple[QueueHandle, Any, int | None]:
-        client, _ = self._target(qname)
-        result = client.call(
-            {"op": "register", "queue": qname, "registrant": registrant,
-             "stable": stable}
-        )
-        record = result["handle"]
-        handle = QueueHandle(
-            record["repository"], record["queue"], record["registrant"]
-        )
-        return handle, result["tag"], result["eid"]
-
-    def deregister(self, handle: QueueHandle, txn=None) -> None:
-        client, _ = self._target(handle.queue)
-        client.call(
-            {"op": "deregister", "handle": self._handle_record(handle)}
-        )
-
-    def enqueue(
-        self,
-        handle: QueueHandle,
-        body: Any,
-        tag: Any = None,
-        *,
-        txn=None,
-        priority: int = 0,
-        headers: dict[str, Any] | None = None,
-    ) -> int:
-        client, shard = self._target(handle.queue)
-        return client.call(
-            {"op": "enqueue", "handle": self._handle_record(handle),
-             "body": body, "tag": tag, "txn": self._branch_id(txn, shard),
-             "priority": priority, "headers": headers}
-        )
-
-    def dequeue(
-        self,
-        handle: QueueHandle,
-        tag: Any = None,
-        error_queue: str | None = None,
-        *,
-        txn=None,
-        block: bool = False,
-        timeout: float | None = None,
-        selector=None,
-    ) -> Element:
-        if selector is not None:
-            raise ReproError("selectors cannot cross the wire")
-        client, shard = self._target(handle.queue)
-        wire_timeout = None
-        if block:
-            wire_timeout = (
-                timeout if timeout is not None else _BLOCK_FOREVER
-            ) + _BLOCK_SLACK
-        record = client.call(
-            {"op": "dequeue", "handle": self._handle_record(handle),
-             "tag": tag, "error_queue": error_queue,
-             "txn": self._branch_id(txn, shard), "block": block,
-             "timeout": timeout},
-            timeout=wire_timeout,
-        )
-        return Element.from_record(record)
-
-    def registration_info(self, handle: QueueHandle) -> Registration | None:
-        client, _ = self._target(handle.queue)
-        record = client.call(
-            {"op": "registration_info", "handle": self._handle_record(handle)}
-        )
-        return None if record is None else Registration.from_record(record)
-
-    def read(self, handle: QueueHandle, eid: int) -> Element:
-        client, _ = self._target(handle.queue)
-        record = client.call(
-            {"op": "read", "handle": self._handle_record(handle), "eid": eid}
-        )
-        return Element.from_record(record)
-
-    def kill_element(self, handle: QueueHandle, eid: int) -> bool:
-        client, _ = self._target(handle.queue)
-        return client.call(
-            {"op": "kill_element", "handle": self._handle_record(handle),
-             "eid": eid}
-        )
-
-    def depth(self, qname: str) -> int:
-        client, _ = self._target(qname)
-        return client.call({"op": "depth", "queue": qname})

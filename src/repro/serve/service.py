@@ -11,9 +11,10 @@ A :class:`ShardService` extends the clerk-facing
   ``txn_commit_prepared`` / ``txn_abort_prepared``) driven by the
   client-side coordinator of :mod:`repro.serve.client`;
 * the coordinator's durable side: ``txn_decide`` force-logs the global
-  decision on *this* shard's log (under the same pseudo-RM ``"_2pc"``
-  as the in-process coordinator, mirrored into the shard's decision
-  tracker), ``txn_decision`` answers presumed-abort lookups, and
+  decision on *this* shard's log and ``txn_decision`` answers
+  presumed-abort lookups — both are the decision-log half of one
+  :class:`~repro.transaction.twophase.TwoPhaseCoordinator` held over
+  the shard's log and decision tracker — and
   ``in_doubt``/``txn_resolve`` let the supervisor settle prepared
   branches left by a crash;
 * data definition and introspection (``create_queue``, ``queue_names``,
@@ -33,14 +34,13 @@ from __future__ import annotations
 from typing import Any
 
 from repro.comm.remote import QueueManagerService
-from repro.errors import ReproError, TransactionAborted
+from repro.errors import QueueExistsError, ReproError, TransactionAborted
 from repro.queueing.manager import QueueManager
 from repro.queueing.queue import DequeueMode
 from repro.queueing.repository import QueueRepository
 from repro.transaction.ids import TxnStatus
-from repro.transaction.log import KIND_AUTO
 from repro.transaction.manager import Transaction
-from repro.transaction.twophase import _DECISION_RM
+from repro.transaction.twophase import TwoPhaseCoordinator
 
 #: remembered outcomes of finished branches, for duplicate outcome calls
 _OUTCOME_CACHE = 1024
@@ -58,6 +58,11 @@ class ShardService(QueueManagerService):
         self.txns: dict[int, Transaction] = {}
         #: recently finished branch ids -> "commit" | "abort"
         self._outcomes: dict[int, str] = {}
+        #: the decision log of this shard: driver-side coordinators
+        #: run the protocol, this one only forces and answers decisions
+        self.coordinator = TwoPhaseCoordinator(
+            repo.log, name=repo.name, tracker=repo.decisions
+        )
 
     # -- branch table ---------------------------------------------------
 
@@ -78,15 +83,6 @@ class ShardService(QueueManagerService):
         while len(self._outcomes) > _OUTCOME_CACHE:
             self._outcomes.pop(next(iter(self._outcomes)))
 
-    # -- dispatch -------------------------------------------------------
-
-    def _dispatch(self, payload: dict[str, Any]) -> Any:
-        op = payload["op"]
-        handler = getattr(self, f"_op_{op}", None)
-        if handler is not None:
-            return handler(payload)
-        return super()._dispatch(payload)
-
     # -- admin ----------------------------------------------------------
 
     def _op_hello(self, payload: dict[str, Any]) -> dict[str, Any]:
@@ -97,8 +93,6 @@ class ShardService(QueueManagerService):
         }
 
     def _op_create_queue(self, payload: dict[str, Any]) -> None:
-        from repro.errors import QueueExistsError
-
         config = dict(payload.get("config") or {})
         if "mode" in config:
             config["mode"] = DequeueMode(config["mode"])
@@ -164,13 +158,7 @@ class ShardService(QueueManagerService):
     # -- two-phase commit branch side -----------------------------------
 
     def _op_txn_prepare(self, payload: dict[str, Any]) -> None:
-        txn = self.txns.get(payload["txn"])
-        if txn is None:
-            raise TransactionAborted(
-                payload["txn"],
-                "unknown branch (shard restarted; presumed abort)",
-            )
-        self.repo.tm.prepare(txn, payload["gid"])
+        self.repo.tm.prepare(self._resolve_txn(payload), payload["gid"])
 
     def _op_txn_commit_prepared(self, payload: dict[str, Any]) -> None:
         self._apply_prepared(payload, "commit")
@@ -216,24 +204,10 @@ class ShardService(QueueManagerService):
         # retried decide): decision records are write-once per gid.
         if self.repo.decisions.get(gid) == decision:
             return
-        self.repo.log.log_auto(
-            _DECISION_RM, {"gid": gid, "decision": decision},
-            on_lsn=lambda _lsn: self.repo.decisions.note(gid, decision),
-        )
+        self.coordinator.log_decision(gid, decision)
 
     def _op_txn_decision(self, payload: dict[str, Any]) -> str:
-        gid = payload["gid"]
-        found = self.repo.decisions.get(gid)
-        if found is not None:
-            return found
-        for record in self.repo.log.records():
-            if (
-                record.kind == KIND_AUTO
-                and record.rm == _DECISION_RM
-                and record.data.get("gid") == gid
-            ):
-                return record.data["decision"]
-        return "abort"
+        return self.coordinator.decision(payload["gid"])
 
     # -- restart resolution (driven by the supervisor) ------------------
 

@@ -36,6 +36,7 @@ from repro.queueing.repository import QueueRepository
 from repro.queueing.sharded import EPOCH_RM
 from repro.serve.service import ShardService
 from repro.storage.disk import FileDisk
+from repro.transaction.cc import CC_POLICIES
 from repro.transaction.deterministic import DeterministicLane
 
 
@@ -76,9 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
              "the bare system name, matching the in-process layout",
     )
     parser.add_argument(
-        "--cc", choices=("2pl", "auto", "deterministic"), default="2pl",
+        "--cc", choices=CC_POLICIES, default="2pl",
         help="concurrency-control policy for auto-commit queue "
-             "operations: 2pl (default), or auto/deterministic to run "
+             "operations: 2pl (default), or deterministic to run "
              "queue-shaped transactions on the deterministic lane",
     )
     parser.add_argument(

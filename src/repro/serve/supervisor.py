@@ -34,6 +34,7 @@ from typing import Callable
 from repro.comm.transport import TcpTransport
 from repro.errors import CommError, ReproError
 from repro.serve.client import ShardClient
+from repro.transaction.cc import check_cc_policy
 
 #: seconds to wait for a shard's READY handshake line
 READY_TIMEOUT = 30.0
@@ -79,7 +80,7 @@ class ShardSupervisor:
     ):
         self.root_dir = root_dir
         self.name = name
-        self.cc = cc
+        self.cc = check_cc_policy(cc)
         self.host = host
         self.python = python
         self.auto_restart = auto_restart
@@ -159,8 +160,9 @@ class ShardSupervisor:
 
     def restart(self, index: int) -> None:
         """Boot shard ``index`` again over its data directory (restart
-        recovery), then resolve any in-doubt two-phase branches against
-        the other shards' decision records."""
+        recovery), then resolve the in-doubt two-phase branches its
+        return makes decidable: its own against the other shards'
+        decision records, and theirs against its."""
         shard = self.shards[index]
         with self._mutex:
             if shard.proc is not None and shard.proc.poll() is None:
@@ -168,6 +170,15 @@ class ShardSupervisor:
             shard.restarts += 1
             self._spawn(shard)
         self.resolve_in_doubt(index)
+        # Branches on the other live shards may have been waiting on
+        # this shard's decision log.  Best effort: one that is going
+        # down meanwhile runs this sweep again at its own restart.
+        for other in self.shards:
+            if other.index != index and other.alive:
+                try:
+                    self.resolve_in_doubt(other.index)
+                except CommError:
+                    pass
         if self.on_restart is not None:
             self.on_restart(index)
 
@@ -193,11 +204,8 @@ class ShardSupervisor:
 
     # -- distributed in-doubt resolution --------------------------------
 
-    def _client(self, index: int, max_retries: int = 10) -> ShardClient:
-        shard = self.shards[index]
-        return ShardClient(
-            TcpTransport(self.host, shard.port, max_retries=max_retries)
-        )
+    def _client(self, index: int) -> ShardClient:
+        return ShardClient(TcpTransport(self.host, self.shards[index].port))
 
     def coordinator_shard(self, gid: str) -> int:
         """The shard whose log holds (or presumed-abort lacks) the
@@ -208,35 +216,32 @@ class ShardSupervisor:
         return int(match.group("shard")) if match else 0
 
     def resolve_in_doubt(self, index: int) -> int:
-        """Settle the in-doubt branches of a freshly restarted shard.
+        """Settle the in-doubt branches of shard ``index``.
 
         Presumed abort: the branch commits only if the coordinator
-        shard has a durable commit decision.  Returns the number of
-        branches resolved."""
+        shard has a durable commit decision.  Only that shard can say
+        so — while it is down the branch stays in doubt (locks held)
+        rather than being guessed at; its own restart settles it.
+        Returns the number of branches resolved."""
         client = self._client(index)
         resolved = 0
         try:
-            branches = client.call({"op": "in_doubt"})
-            for branch in branches:
+            for branch in client.call({"op": "in_doubt"}):
                 if branch["resolved"] is not None:
                     continue
                 gid = branch["gid"]
                 coordinator = self.coordinator_shard(gid)
-                decision = "abort"
-                try:
-                    if coordinator != index and self.shards[coordinator].alive:
-                        decision = self._client(coordinator).call(
-                            {"op": "txn_decision", "gid": gid}
-                        )
-                    elif coordinator == index:
-                        decision = client.call(
-                            {"op": "txn_decision", "gid": gid}
-                        )
-                except CommError:
-                    # Coordinator unreachable: leave the branch in
-                    # doubt (locks held) rather than guessing — the
-                    # next restart pass retries.
+                if coordinator != index and not self.shards[coordinator].alive:
                     continue
+                asked = (client if coordinator == index
+                         else self._client(coordinator))
+                try:
+                    decision = asked.call({"op": "txn_decision", "gid": gid})
+                except CommError:
+                    continue  # died under us: same as not alive
+                finally:
+                    if asked is not client:
+                        asked.close()
                 client.call(
                     {"op": "txn_resolve", "gid": gid, "decision": decision}
                 )

@@ -31,6 +31,20 @@ from __future__ import annotations
 from repro.obs import Observability, get_observability
 from repro.transaction.locks import LockManager, LockMode
 
+#: the ``cc`` policy names a system, a shard process or a chaos
+#: campaign is configured with: strict 2PL for everything, or the
+#: queue-shaped transaction class on the deterministic lane
+CC_POLICIES = ("2pl", "deterministic")
+
+
+def check_cc_policy(cc: str) -> str:
+    if cc not in CC_POLICIES:
+        raise ValueError(
+            f"unknown concurrency-control policy {cc!r}; "
+            f"expected one of {CC_POLICIES}"
+        )
+    return cc
+
 
 class ConcurrencyControl:
     """Strategy interface between transactions and isolation machinery.

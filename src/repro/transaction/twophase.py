@@ -114,7 +114,7 @@ class TwoPhaseCoordinator:
 
         if veto:
             try:
-                self._log_decision(gid, "abort")
+                self.log_decision(gid, "abort")
             except StorageError:
                 # Presumed abort: the abort decision record is advisory
                 # (no record *means* abort), so a failing coordinator log
@@ -128,7 +128,7 @@ class TwoPhaseCoordinator:
             return "abort"
 
         try:
-            self._log_decision(gid, "commit")
+            self.log_decision(gid, "commit")
         except (WalPanicError, DiskCrashedError):
             # Node-fatal: the process is going down and restart recovery
             # will resolve the prepared branches (presumed abort — the
@@ -179,7 +179,7 @@ class TwoPhaseCoordinator:
             f"branch {txn.id} could not apply the committed decision: {last}"
         ) from last
 
-    def _log_decision(self, gid: str, decision: str) -> None:
+    def log_decision(self, gid: str, decision: str) -> None:
         # The tracker is updated under the WAL lock at append time
         # (on_lsn): a fuzzy checkpoint concurrent with the decision
         # either snapshots the tracker entry or replays the record —

@@ -8,6 +8,8 @@ byte-identical."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.chaos import ChaosConfig, run_episode, sample_schedule
 from repro.chaos.engine import FAILING_OUTCOMES, OUTCOME_OK
 from repro.chaos.schedule import CRASH_POINTS, KIND_CRASH
@@ -55,14 +57,10 @@ class TestScheduleCompatibility:
                     points.add(fault.point)
         assert points >= set(DET_PLAN_CRASH_POINTS)
 
-    def test_auto_also_arms_det_points(self):
-        auto = ChaosConfig(cc="auto")
-        points = set()
-        for seed in range(50):
-            for fault in sample_schedule(seed, auto).faults:
-                if fault.kind == KIND_CRASH:
-                    points.add(fault.point)
-        assert points >= set(DET_PLAN_CRASH_POINTS)
+    def test_auto_synonym_is_gone(self):
+        # "auto" only ever meant "deterministic"; one name per policy.
+        with pytest.raises(ValueError):
+            ChaosConfig(cc="auto")
 
 
 class TestDetPointsActuallyFire:

@@ -5,14 +5,20 @@ from __future__ import annotations
 
 import threading
 
+import pytest
 
 from repro.comm.network import SimNetwork
-from repro.comm.remote import QueueManagerService, RemoteQueueManager
+from repro.comm.remote import (
+    QueueManagerService,
+    RemoteQueueManager,
+    op_enqueue,
+)
 from repro.comm.transport import InProcListener, InProcTransport
 from repro.core.clerk import Clerk
 from repro.core.devices import TicketPrinter
 from repro.core.guarantees import GuaranteeChecker
 from repro.core.system import TPSystem
+from repro.errors import ReproError
 
 from tests.conftest import echo_handler
 
@@ -109,6 +115,37 @@ class TestRemoteClerk:
                                  headers={"rid": "rid-1"})
         assert eid1 == eid2
         assert system.request_repo.get_queue(system.request_queue).depth() == 1
+
+
+class TestAutoCommitOnly:
+    def test_base_stub_refuses_a_transaction(self):
+        # One stub class now serves the sharded tcp deployment too; the
+        # clerk-facing base must still refuse a txn, client side, before
+        # anything crosses the wire.
+        system, network, channel, remote_qm = remote_setup()
+        queue = system.request_queue
+        handle, _, _ = remote_qm.register(queue, "c1")
+        txn = system.request_repo.tm.begin()
+        sent = network.stats.sent
+        for call in (
+            lambda: remote_qm.enqueue(handle, "x", txn=txn),
+            lambda: remote_qm.dequeue(handle, txn=txn),
+            lambda: remote_qm.register(queue, "c2", txn=txn),
+            lambda: remote_qm.deregister(handle, txn=txn),
+        ):
+            with pytest.raises(ReproError, match="auto-commit"):
+                call()
+        assert network.stats.sent == sent
+        assert system.request_qm.depth(queue) == 0
+
+    def test_base_service_refuses_a_branch_id(self):
+        system, network, channel, remote_qm = remote_setup()
+        handle, _, _ = remote_qm.register(system.request_queue, "c1")
+        response = QueueManagerService(system.request_qm).handle(
+            op_enqueue(handle, "x", txn=3)
+        )
+        assert response["err"] == "ReproError"
+        assert system.request_qm.depth(system.request_queue) == 0
 
 
 class TestTaggedEnqueueDedupLocal:

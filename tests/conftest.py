@@ -9,6 +9,7 @@ import pytest
 from repro.core.devices import DisplayWithUserIds, TicketPrinter
 from repro.core.system import TPSystem
 from repro.queueing.manager import QueueManager
+from repro.queueing.placement import PinnedPlacement
 from repro.queueing.repository import QueueRepository
 from repro.sim.crash import FaultInjector
 from repro.sim.trace import TraceRecorder
@@ -85,6 +86,16 @@ def run_with_server(system: TPSystem, server, client):
     finally:
         done.set()
         thread.join(timeout=10)
+
+
+def pinned_two_shard_system(**kwargs) -> TPSystem:
+    """Replies on another node: the request queue (and its error queue)
+    on shard 0, client c1's reply queue on shard 1 — every processed
+    request is forced through the cross-shard two-phase commit."""
+    placement = PinnedPlacement(
+        {"req.q": 0, "req.err": 0, "reply.c1": 1}
+    )
+    return TPSystem(shards=2, placement=placement, **kwargs)
 
 
 def echo_handler(txn, request):

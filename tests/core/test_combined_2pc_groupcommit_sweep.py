@@ -1,14 +1,15 @@
 """Crash-at-every-step over the *combined* hardest server path:
-request and reply queues on separate nodes (distributed 2PC, Section 8)
-with group commit enabled on both nodes' logs.
+request and reply queues on separate nodes (the reply queue pinned to a
+second shard: distributed 2PC, Section 8) with group commit enabled on
+both nodes' logs.
 
 Every instrumented point — clerk, queue managers on both nodes, both
 transaction managers, the 2PC coordinator, and both group-flush points
-— is crashed once.  After each crash the whole system restarts, any
-in-doubt 2PC branches are resolved against the coordinator's durable
-decision (presumed abort), a fresh client incarnation resynchronizes,
-and the paper's guarantees plus exactly-once device effects are
-asserted.
+— is crashed once.  After each crash the whole system restarts — boot
+resolves any in-doubt 2PC branches against the coordinator shard's
+durable decision (presumed abort) — a fresh client incarnation
+resynchronizes, and the paper's guarantees plus exactly-once device
+effects are asserted.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from repro.core.system import TPSystem
 from repro.sim.harness import crash_every_step
 from repro.sim.trace import TraceRecorder
 from repro.storage.groupcommit import GroupCommitConfig
+
+from tests.conftest import pinned_two_shard_system
 
 WORK = ["a", "b"]
 
@@ -38,19 +41,15 @@ def _handler_for(system: TPSystem):
     return handler
 
 
-def _resolve_in_doubt(system: TPSystem) -> int:
-    """Resolve recovered in-doubt 2PC branches on both nodes against
-    the coordinator's durable decision (presumed abort)."""
-    resolved = 0
-    coordinator = system.coordinator
-    assert coordinator is not None
-    repos = {id(system.request_repo): system.request_repo,
-             id(system.reply_repo): system.reply_repo}.values()
-    for repo in repos:
-        for branch in repo.last_recovery.in_doubt:
-            branch.resolve(coordinator.decision(branch.global_id))
-            resolved += 1
-    return resolved
+def _resolved_at_boot(system: TPSystem) -> int:
+    """In-doubt 2PC branches the restart found and settled."""
+    branches = [
+        branch
+        for recovery in system.request_repo.recoveries
+        for branch in recovery.in_doubt
+    ]
+    assert all(branch.resolved is not None for branch in branches)
+    return len(branches)
 
 
 def _finish(system: TPSystem, device, user_log) -> None:
@@ -75,12 +74,12 @@ class TestCombined2PCGroupCommitSweep:
 
         def scenario(injector):
             trace = TraceRecorder()
-            system = TPSystem(
+            system = pinned_two_shard_system(
                 injector=injector,
                 trace=trace,
-                separate_reply_node=True,
                 group_commit=GroupCommitConfig(enabled=True, max_wait=0.0),
             )
+            system.placement.pin("ledger", 0)  # beside the request queue
             device = TicketPrinter(trace=trace, injector=injector)
             user_log = UserCheckpoint()
             scenario.state = {"system": system, "device": device, "log": user_log}
@@ -100,7 +99,7 @@ class TestCombined2PCGroupCommitSweep:
 
         def recover(state):
             system2 = state["system"].reopen()
-            resolved_total[0] += _resolve_in_doubt(system2)
+            resolved_total[0] += _resolved_at_boot(system2)
             _finish(system2, state["device"], state["log"])
             return system2
 

@@ -8,7 +8,14 @@ import threading
 import pytest
 
 from repro.core.request import REPLY_FAILED, Reply, Request
+from repro.core.server import Server
 from repro.core.system import TPSystem
+from repro.queueing.manager import QueueManager
+from repro.queueing.repository import QueueRepository
+from repro.storage.disk import MemDisk
+from repro.transaction.log import KIND_PREPARE
+
+from tests.conftest import pinned_two_shard_system
 
 
 def send(system: TPSystem, client_id: str, seq: int, body="work"):
@@ -165,19 +172,23 @@ class TestThreaded:
 
 
 class TestDistributed2PC:
+    """Replies on another node: the reply queue is pinned to a second
+    shard, so Figure 5's one transaction commits by two-phase commit."""
+
     def test_request_and_reply_on_different_nodes(self):
-        system = TPSystem(separate_reply_node=True)
+        system = pinned_two_shard_system()
         clerk = send(system, "c1", 1, "cross-node")
         server = system.server("s", lambda txn, r: {"did": r.body})
         assert server.process_one() is True
         reply = clerk.receive(timeout=2)
         assert reply.body == {"did": "cross-node"}
+        assert system.request_repo.tm.cross_shard_commits == 1
         # Both logs saw their side of the global transaction.
-        assert system.request_repo.log.records()
-        assert system.reply_repo.log.records()
+        for shard in system.request_repo.shards:
+            assert any(r.kind == KIND_PREPARE for r in shard.log.records())
 
     def test_2pc_abort_on_handler_failure(self):
-        system = TPSystem(separate_reply_node=True)
+        system = pinned_two_shard_system()
         send(system, "c1", 1)
 
         def failing(txn, request):
@@ -191,24 +202,29 @@ class TestDistributed2PC:
     def test_2pc_database_writes_land_on_request_node(self):
         # Regression: the handler's table writes must ride the REQUEST
         # node's branch — logged there, replayed there after a crash.
-        system = TPSystem(separate_reply_node=True)
+        system = pinned_two_shard_system()
+        system.placement.pin("books", 0)
         table = system.table("books")
         clerk = send(system, "c1", 1, {"amount": 9})
 
         def handler(txn, request):
             table.put(txn, "total", request.body["amount"])
+            # dequeue + table write share shard 0's branch; the reply
+            # enqueue will open the second one
+            assert sorted(txn.branches) == [0]
             return "booked"
 
         system.server("s", handler).process_one()
         system.crash()
         system2 = system.reopen()
+        assert "books" in system2.request_repo.shards[0].tables
         assert system2.table("books").peek("total") == 9
         clerk2 = system2.clerk("c1")
         clerk2.connect()
         assert clerk2.receive(timeout=2).body == "booked"
 
     def test_2pc_survives_whole_system_crash(self):
-        system = TPSystem(separate_reply_node=True)
+        system = pinned_two_shard_system()
         clerk = send(system, "c1", 1, "durable")
         server = system.server("s", lambda txn, r: "saved")
         server.process_one()
@@ -218,3 +234,12 @@ class TestDistributed2PC:
         clerk2.connect()
         reply = clerk2.receive(timeout=2)
         assert reply.body == "saved"
+
+    def test_two_repositories_are_refused(self):
+        # One transaction covers the dequeue and the reply, so both
+        # queue managers must front the same repository.
+        system = TPSystem()
+        other = QueueManager(QueueRepository("repnode", MemDisk()))
+        with pytest.raises(ValueError, match="one repository"):
+            Server("s", system.request_qm, system.request_queue,
+                   lambda txn, r: "x", reply_qm=other)

@@ -13,16 +13,11 @@ from repro.queueing.sharded import ShardedRepository
 from repro.transaction.manager import TransactionManager
 from repro.transaction.routing import ShardedTransactionManager
 
-from tests.conftest import echo_handler, run_with_server
-
-
-def pinned_two_shard_system(**kwargs) -> TPSystem:
-    """Request queue on shard 0, client c1's reply queue on shard 1 —
-    every processed request is forced through the cross-shard path."""
-    placement = PinnedPlacement(
-        {"req.q": 0, "req.err": 0, "reply.c1": 1}
-    )
-    return TPSystem(shards=2, placement=placement, **kwargs)
+from tests.conftest import (
+    echo_handler,
+    pinned_two_shard_system,
+    run_with_server,
+)
 
 
 class TestWiring:
@@ -38,10 +33,6 @@ class TestWiring:
         assert isinstance(system.request_repo.tm, ShardedTransactionManager)
         assert len(system.request_repo.disks) == 4
         assert system.reply_repo is system.request_repo
-
-    def test_separate_reply_node_incompatible_with_shards(self):
-        with pytest.raises(ValueError):
-            TPSystem(shards=2, separate_reply_node=True)
 
 
 class TestEndToEnd:
@@ -183,6 +174,58 @@ class TestRestart:
         run_with_server(system2, server2, client2)
         assert [rid for _t, rid in printer.printed] == ["c1#1", "c1#2"]
         system2.checker().assert_ok()
+
+    def test_undecided_branch_after_a_restart_resolves_to_abort(self):
+        # A coordinator's sequence numbers restart with the process, so
+        # the second incarnation's first global id would repeat the
+        # first's (":1", durably decided COMMIT) if it did not carry
+        # the shard's durable epoch — and a branch left undecided by a
+        # crash would then be answered "commit" from the old record: a
+        # dequeue without its reply.  (The deleted two-repository
+        # layout's coordinator had exactly that bug.)
+        from repro.core.client import UserCheckpoint
+        from repro.errors import SimulatedCrash
+        from repro.sim.crash import FaultInjector
+
+        work = ["first", "second"]
+        system = pinned_two_shard_system()
+        printer = TicketPrinter(trace=system.trace)
+        user_log = UserCheckpoint()
+        client = system.client("c1", work, printer, user_log=user_log)
+        client.resynchronize()
+        client.send_only(1)
+        system.server("s", echo_handler).process_one()
+        reply = client.clerk.receive(ckpt=printer.state(), timeout=1)
+        printer.process(reply.rid, reply.body)
+        assert system.request_repo.shards[0].decisions.get(
+            "reqnode.s0.e1:1") == "commit"
+        system.crash()
+
+        # Second incarnation: request 2 crashes with shard 0's branch
+        # prepared, shard 1's not, and no decision logged.
+        injector = FaultInjector()
+        injector.arm("2pc.before_prepare", hit=2)
+        system2 = system.reopen(injector=injector)
+        client2 = system2.client("c1", work, printer, user_log=user_log)
+        assert client2.resynchronize() == 2
+        client2.send_only(2)
+        with pytest.raises(SimulatedCrash):
+            system2.server("s", echo_handler).process_one()
+        system2.crash()
+
+        system3 = system2.reopen()
+        (branch,) = system3.request_repo.recoveries[0].in_doubt
+        assert branch.global_id == "reqnode.s0.e2:1"
+        assert branch.resolved == "abort"
+        assert not system3.request_repo.recoveries[1].in_doubt
+        depths = system3.queue_depths()
+        assert depths["req.q"] == 1 and depths["reply.c1"] == 0
+        client3 = system3.client(
+            "c1", work, printer, receive_timeout=5, user_log=user_log
+        )
+        run_with_server(system3, system3.server("s3", echo_handler), client3)
+        assert [rid for _t, rid in printer.printed] == ["c1#1", "c1#2"]
+        system3.checker().assert_ok()
 
     def test_crash_single_shard_spares_the_rest(self):
         system = pinned_two_shard_system()

@@ -9,7 +9,7 @@ from repro.core.system import TPSystem
 from repro.queueing.queue import DequeueMode
 from repro.storage.disk import FileDisk
 
-from tests.conftest import echo_handler
+from tests.conftest import echo_handler, pinned_two_shard_system
 
 
 class TestConfiguration:
@@ -49,12 +49,17 @@ class TestConfiguration:
     def test_single_node_shares_repo(self):
         system = TPSystem()
         assert system.reply_repo is system.request_repo
-        assert system.coordinator is None
+        assert system.reply_qm is system.request_qm
 
     def test_separate_reply_node(self):
-        system = TPSystem(separate_reply_node=True)
-        assert system.reply_repo is not system.request_repo
-        assert system.coordinator is not None
+        # "Replies on another node" is a placement, not a second
+        # repository: the reply queue lives on another shard.
+        system = pinned_two_shard_system()
+        system.ensure_reply_queue("c1")
+        assert system.reply_repo is system.request_repo
+        assert system.request_repo.shard_of(system.request_queue) == 0
+        assert system.request_repo.shard_of("reply.c1") == 1
+        assert system.queue_depths(by_shard=True)["s1:reply.c1"] == 0
 
     def test_table_factory(self):
         system = TPSystem()
@@ -71,12 +76,13 @@ class TestReopen:
         assert queue.config.mode is DequeueMode.STRICT
 
     def test_reopen_separate_node(self):
-        system = TPSystem(separate_reply_node=True)
+        system = pinned_two_shard_system()
         system.ensure_reply_queue("c1")
         system.crash()
         system2 = system.reopen()
-        assert system2.reply_repo is not system2.request_repo
+        assert system2.request_repo.shard_count == 2
         assert "reply.c1" in system2.reply_repo.queues
+        assert system2.request_repo.shard_of("reply.c1") == 1
 
     def test_drain_helper(self):
         system = TPSystem()

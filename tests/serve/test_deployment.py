@@ -17,6 +17,9 @@ import pytest
 from repro.core.devices import DisplayWithUserIds
 from repro.core.request import Request, make_rid
 from repro.core.system import TPSystem
+from repro.sim.crash import FaultInjector
+from repro.storage.disk import MemDisk
+from repro.storage.groupcommit import GroupCommitConfig
 
 
 @pytest.fixture
@@ -58,8 +61,20 @@ class TestTcpDeployment:
             TPSystem(deployment="bogus")
         with pytest.raises(ValueError):
             TPSystem(deployment="tcp", replicate=True)
-        with pytest.raises(ValueError):
-            TPSystem(deployment="tcp", separate_reply_node=True)
+
+    @pytest.mark.parametrize("name, value", [
+        ("request_disk", MemDisk()),
+        ("shard_disks", [MemDisk(), MemDisk()]),
+        ("group_commit", GroupCommitConfig(enabled=True)),
+        ("checkpoint_interval_bytes", 4096),
+        ("replicate", True),
+        ("injector", FaultInjector()),
+    ])
+    def test_in_process_only_arguments_rejected_over_tcp(self, name, value):
+        # Refused up front, by name, before any process is spawned —
+        # not silently dropped.
+        with pytest.raises(ValueError, match=name):
+            TPSystem(deployment="tcp", **{name: value})
 
     def test_kill_shard_requires_tcp(self):
         system = TPSystem()

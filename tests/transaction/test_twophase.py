@@ -82,7 +82,7 @@ class TestCrashRecovery:
         gid = coordinator.new_global_id()
         tm_a.prepare(txn_a, gid)
         tm_b.prepare(txn_b, gid)
-        coordinator._log_decision(gid, "commit")
+        coordinator.log_decision(gid, "commit")
         tm_a.commit_prepared(txn_a)
         disk_b.crash()
         disk_b.recover()
