@@ -22,6 +22,21 @@ vocabulary (``{"op": ..., ...}`` dicts of codec types):
   two routing hooks to pick the owning shard's connection and name the
   caller's transaction branch there.
 
+A transactional caller names its branch in ``"txn"``.  Two shapes save
+round trips (begin and commit are bookkeeping around the queue
+operations, not work of their own):
+
+* ``"txn": "new"`` — the first operation of a branch opens it: the shard
+  begins the branch, runs the operation and answers
+  ``{"txn": <branch id>, "result": <the operation's result>}``.  If the
+  operation fails, the shard aborts and forgets the branch before
+  answering, so the caller has nothing to clean up.
+* ``"commit": True`` on an enqueue — the last operation of a
+  single-branch transaction carries the commit: enqueue and commit run
+  under one dispatch and one log force.  This is an *outcome* call: it
+  goes out at-most-once (``retries=0``), and a lost reply leaves the
+  outcome unknown exactly as a lost ``txn_commit`` reply does.
+
 The transport is at-least-once (lost messages/replies are retried), so
 duplicate *deliveries* of an operation are possible; the queue manager
 absorbs them:
@@ -42,10 +57,11 @@ from typing import Any, Callable
 
 from repro.comm.transport import Transport
 from repro.comm.wire import error_payload, ok_payload, unwrap
-from repro.errors import NotRegisteredError, ReproError
+from repro.errors import NotRegisteredError, ReproError, TransactionAborted
 from repro.queueing.element import Element
 from repro.queueing.manager import QueueHandle, QueueManager
 from repro.queueing.registration import Registration
+from repro.transaction.ids import TxnStatus
 
 #: slack added to a blocking dequeue's wire timeout so the transport
 #: outwaits the server-side block before declaring the call lost
@@ -81,14 +97,18 @@ def op_deregister(handle: QueueHandle) -> dict[str, Any]:
     return {"op": "deregister", "handle": handle_record(handle)}
 
 
-def op_enqueue(handle: QueueHandle, body: Any, tag: Any = None, txn: int | None = None,
-               priority: int = 0, headers: dict[str, Any] | None = None) -> dict[str, Any]:
-    return {"op": "enqueue", "handle": handle_record(handle), "body": body,
-            "tag": tag, "txn": txn, "priority": priority, "headers": headers}
+def op_enqueue(handle: QueueHandle, body: Any, tag: Any = None, txn: int | str | None = None,
+               priority: int = 0, headers: dict[str, Any] | None = None,
+               commit: bool = False) -> dict[str, Any]:
+    payload = {"op": "enqueue", "handle": handle_record(handle), "body": body,
+               "tag": tag, "txn": txn, "priority": priority, "headers": headers}
+    if commit:  # absent otherwise: an auto-commit Send's frame stays as it was
+        payload["commit"] = True
+    return payload
 
 
 def op_dequeue(handle: QueueHandle, tag: Any = None, error_queue: str | None = None,
-               txn: int | None = None, block: bool = False,
+               txn: int | str | None = None, block: bool = False,
                timeout: float | None = None) -> dict[str, Any]:
     return {"op": "dequeue", "handle": handle_record(handle), "tag": tag,
             "error_queue": error_queue, "txn": txn, "block": block, "timeout": timeout}
@@ -122,6 +142,14 @@ def dequeue_wire_timeout(block: bool, timeout: float | None) -> float | None:
     return (timeout if timeout is not None else _BLOCK_FOREVER) + _BLOCK_SLACK
 
 
+class _Payload(dict):
+    """A call payload whose missing fields fail the call, not the
+    service: ``payload["field"]`` raises :class:`ReproError`."""
+
+    def __missing__(self, key: str) -> Any:
+        raise ReproError(f"malformed payload: missing field {key!r}")
+
+
 class QueueManagerService:
     """Server-side dispatcher: executes queue operations named by wire
     payloads against a local :class:`QueueManager`.  Operation ``X`` is
@@ -151,23 +179,31 @@ class QueueManagerService:
         except ReproError as exc:
             return error_payload(exc)
 
-    def _dispatch(self, payload: dict[str, Any]) -> Any:
+    def _dispatch(self, payload: Any) -> Any:
+        # Payloads come from outside the process: one that names no
+        # operation, or lacks a field its operation reads, is answered
+        # like any other failed call instead of escaping as KeyError.
+        if not isinstance(payload, dict):
+            raise ReproError(
+                f"malformed payload: expected a dict, got {type(payload).__name__}"
+            )
+        payload = _Payload(payload)
         op = payload["op"]
-        handler = getattr(self, f"_op_{op}", None)
+        handler = getattr(self, f"_op_{op}", None) if isinstance(op, str) else None
         if handler is None:
             raise ReproError(f"unknown queue-manager operation {op!r}")
         return handler(payload)
 
-    def _resolve_txn(self, payload: dict[str, Any]) -> Any:
-        """Transaction named in the payload, if any.  The base service
-        is auto-commit only; :class:`repro.serve.service.ShardService`
-        overrides this to resolve branch ids from its transaction
-        table."""
+    def _in_txn(self, payload: dict[str, Any], operation: Callable[[Any], Any]) -> Any:
+        """Run ``operation(txn)`` in the transaction the payload names.
+        The base service is auto-commit only;
+        :class:`repro.serve.service.ShardService` overrides this to
+        resolve, open and commit branches of its transaction table."""
         if payload.get("txn") is not None:
             raise ReproError(
                 "transactional calls require a shard service"
             )
-        return None
+        return operation(None)
 
     # -- queue operations (Figure 3) ------------------------------------
 
@@ -186,25 +222,25 @@ class QueueManagerService:
             # deregistered and only its reply was lost.
             pass
 
-    def _op_enqueue(self, payload: dict[str, Any]) -> int:
-        return self.qm.enqueue(
+    def _op_enqueue(self, payload: dict[str, Any]) -> Any:
+        return self._in_txn(payload, lambda txn: self.qm.enqueue(
             handle_from_record(payload["handle"]),
             payload["body"],
             tag=payload.get("tag"),
-            txn=self._resolve_txn(payload),
+            txn=txn,
             priority=payload.get("priority", 0),
             headers=payload.get("headers"),
-        )
+        ))
 
-    def _op_dequeue(self, payload: dict[str, Any]) -> dict[str, Any]:
-        return self.qm.dequeue(
+    def _op_dequeue(self, payload: dict[str, Any]) -> Any:
+        return self._in_txn(payload, lambda txn: self.qm.dequeue(
             handle_from_record(payload["handle"]),
             tag=payload.get("tag"),
             error_queue=payload.get("error_queue"),
-            txn=self._resolve_txn(payload),
+            txn=txn,
             block=payload.get("block", False),
             timeout=payload.get("timeout"),
-        ).to_record()
+        ).to_record())
 
     def _op_registration_info(self, payload: dict[str, Any]) -> dict[str, Any] | None:
         reg = self.qm.registration_info(handle_from_record(payload["handle"]))
@@ -224,6 +260,34 @@ class QueueManagerService:
         return self.qm.depth(payload["queue"])
 
 
+def _branch_ref(branch: Any) -> int | str | None:
+    """What names ``branch`` in a payload's ``"txn"`` field."""
+    if branch is None:
+        return None
+    return "new" if branch.id is None else branch.id
+
+
+def _call_in_branch(call: Callable[..., Any], branch: Any, payload: dict[str, Any],
+                    timeout: float | None = None, commit: bool = False) -> Any:
+    """Send a queue operation whose ``"txn"`` is ``_branch_ref(branch)``
+    and mirror onto ``branch`` what the answer says about it: the id of
+    a branch the operation opened, the outcome of a commit it carried."""
+    if branch is None:
+        return call(payload, timeout=timeout)
+    try:
+        # A call that carries the commit is an outcome call: at-most-once.
+        result = call(payload, timeout=timeout, retries=0 if commit else None)
+    except TransactionAborted:
+        # Only a branch the shard no longer knows answers this.
+        branch.status = TxnStatus.ABORTED
+        raise
+    if branch.id is None:
+        branch.id, result = result["txn"], result["result"]
+    if commit:
+        branch.status = TxnStatus.COMMITTED
+    return result
+
+
 class RemoteQueueManager:
     """Caller-side stub for a queue manager living across the network.
 
@@ -241,21 +305,26 @@ class RemoteQueueManager:
     def __init__(self, transport: Transport):
         self.transport = transport
 
-    def _call(self, payload: dict[str, Any],
-              timeout: float | None = None) -> Any:
-        return unwrap(self.transport.request(payload, timeout=timeout))
+    def _call(self, payload: dict[str, Any], timeout: float | None = None,
+              retries: int | None = None) -> Any:
+        return unwrap(
+            self.transport.request(payload, timeout=timeout, retries=retries)
+        )
 
     # -- routing hooks ---------------------------------------------------
 
     def _route(self, qname: str) -> tuple[Callable[..., Any], Any]:
         """The call serving queue ``qname``, plus a token naming where
-        that is (handed back to :meth:`_branch_id`)."""
+        that is (handed back to :meth:`_branch`)."""
         return self._call, None
 
-    def _branch_id(self, txn: Any, where: Any) -> int | None:
-        """The wire id of ``txn``'s branch at ``where``."""
+    def _branch(self, txn: Any, where: Any) -> tuple[Any, bool]:
+        """``txn``'s branch at ``where`` (``None``: auto-commit) and
+        whether that branch is all there is of the transaction.  A
+        branch has an ``id`` (``None`` until its first operation has
+        opened it on the shard) and a ``status``."""
         self._no_txn(txn)
-        return None
+        return None, False
 
     @staticmethod
     def _no_txn(txn: Any) -> None:
@@ -291,11 +360,17 @@ class RemoteQueueManager:
         txn=None,
         priority: int = 0,
         headers: dict[str, Any] | None = None,
+        final: bool = False,
     ) -> int:
+        """``final=True`` promises that the transaction does nothing
+        after this enqueue: when the transaction is one branch, the
+        call carries the commit."""
         call, where = self._route(handle.queue)
-        return call(op_enqueue(
-            handle, body, tag, self._branch_id(txn, where), priority, headers
-        ))
+        branch, sole = self._branch(txn, where)
+        commit = final and sole
+        return _call_in_branch(call, branch, op_enqueue(
+            handle, body, tag, _branch_ref(branch), priority, headers, commit
+        ), commit=commit)
 
     def dequeue(
         self,
@@ -311,9 +386,11 @@ class RemoteQueueManager:
         if selector is not None:
             raise ReproError("selectors cannot cross the wire")
         call, where = self._route(handle.queue)
-        record = call(
+        branch, _ = self._branch(txn, where)
+        record = _call_in_branch(
+            call, branch,
             op_dequeue(handle, tag, error_queue,
-                       self._branch_id(txn, where), block, timeout),
+                       _branch_ref(branch), block, timeout),
             timeout=dequeue_wire_timeout(block, timeout),
         )
         return Element.from_record(record)

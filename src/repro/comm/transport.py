@@ -39,6 +39,8 @@ injection for at-least-once tests).
 
 from __future__ import annotations
 
+import logging
+import queue
 import random
 import socket
 import threading
@@ -55,6 +57,8 @@ from repro.comm.wire import (
     encode_frame,
 )
 from repro.errors import CommError, MessageLost, PartitionedError, RpcTimeout
+
+logger = logging.getLogger(__name__)
 
 _NO_RESPONSE = object()
 
@@ -465,16 +469,24 @@ class TcpListener:
     """Accepts connections and serves wire-protocol calls.
 
     One acceptor thread; one reader thread per connection; each call is
-    dispatched to a worker thread so a blocking operation (a waiting
-    dequeue) cannot stall other calls multiplexed on the same socket.
+    handed to a worker thread of its own so a blocking operation (a
+    waiting dequeue) cannot stall other calls multiplexed on the same
+    socket.  Workers are resident: a finished worker parks and takes
+    the next call (a hand-off costs a fraction of a thread start), and
+    a new one is started only when none is parked, so there are never
+    more than ``max_inflight`` — the bound on concurrently-executing
+    calls.  They are daemon threads, not an executor's: one parked in a
+    60 s dequeue must not hold up interpreter exit.
     Responses are written under a per-connection lock, in completion
     order — the correlation id, not arrival order, matches them up.
 
     ``handler(payload) -> response_payload`` supplies the service; it
     must catch its own application errors and return envelopes (see
     :mod:`repro.comm.wire`).  An exception escaping the handler drops
-    the connection.  Returning :data:`NO_RESPONSE` swallows the reply
-    (fault injection for retry tests).
+    the connection (the caller's pending attempts fail at once instead
+    of waiting out their timeouts); the worker survives.  Returning
+    :data:`NO_RESPONSE` swallows the reply (fault injection for retry
+    tests).
     """
 
     def __init__(
@@ -494,6 +506,12 @@ class TcpListener:
         #: bounds concurrently-executing calls per listener — the
         #: server-side half of admission control
         self._inflight = threading.BoundedSemaphore(max_inflight)
+        #: calls handed to workers, and ``None`` once per worker at close
+        self._calls: queue.SimpleQueue = queue.SimpleQueue()
+        self._pool_lock = threading.Lock()
+        self._workers = 0
+        #: workers parked (or about to park) that no queued call has claimed
+        self._parked = 0
         self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         if hasattr(socket, "SO_REUSEPORT"):  # port-pinned restarts must
@@ -535,11 +553,7 @@ class TcpListener:
                     if kind != KIND_CALL:
                         continue
                     self._inflight.acquire()
-                    threading.Thread(
-                        target=self._run_call,
-                        args=(conn, wlock, call_id, payload),
-                        daemon=True,
-                    ).start()
+                    self._hand_off((conn, wlock, call_id, payload))
         except (OSError, FrameError):
             pass
         finally:
@@ -550,23 +564,73 @@ class TcpListener:
             except OSError:  # pragma: no cover - best effort
                 pass
 
-    def _run_call(self, conn: socket.socket, wlock: threading.Lock,
-                  call_id: int, payload: Any) -> None:
+    def _hand_off(self, call: tuple) -> None:
+        """Queue ``call`` for a worker that is free to take it: each
+        queued call claims one parked worker or starts one, so none
+        waits behind a worker stuck in a blocking operation."""
+        with self._pool_lock:
+            if self._closed:
+                self._inflight.release()
+                return
+            start = self._parked == 0
+            if start:
+                self._workers += 1
+            else:
+                self._parked -= 1
+        if start:
+            threading.Thread(
+                target=self._work, daemon=True, name=f"tcp-worker-{self.port}",
+            ).start()
+        self._calls.put(call)
+
+    def _work(self) -> None:
+        while True:
+            call = self._calls.get()
+            if call is None:
+                return
+            conn, wlock, call_id, payload = call
+            try:
+                frame = self._run_call(conn, call_id, payload)
+                # Free from here on, before the response goes out: the
+                # caller's next call can arrive the moment the response
+                # does, and must find this worker instead of starting
+                # another.
+                with self._pool_lock:
+                    self._parked += 1
+                if frame is not None:
+                    try:
+                        with wlock:
+                            conn.sendall(frame)
+                    except OSError:
+                        pass  # peer went away; the caller's retry reconnects
+            finally:
+                self._inflight.release()
+
+    def _run_call(self, conn: socket.socket, call_id: int,
+                  payload: Any) -> bytes | None:
+        """The response frame of one call, or ``None`` when there is
+        none to send."""
         try:
             result = self.handler(payload)
             self.handled += 1
             if result is NO_RESPONSE:
-                return
-            frame = encode_frame(KIND_RESP, call_id, result)
-            with wlock:
-                conn.sendall(frame)
-        except OSError:
-            pass  # peer went away; the caller's retry reconnects
-        finally:
-            self._inflight.release()
+                return None
+            return encode_frame(KIND_RESP, call_id, result)
+        except Exception:
+            logger.exception("tcp listener %s: call failed; dropping the "
+                             "connection", self.port)
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            return None
 
     def close(self) -> None:
-        self._closed = True
+        with self._pool_lock:
+            self._closed = True
+            workers, self._workers = self._workers, 0
+        for _ in range(workers):
+            self._calls.put(None)  # each worker takes one and exits
         # shutdown() wakes a thread blocked in accept(); close() alone
         # would leave it parked on the fd, and once the fd number is
         # reused by a successor listener the stale accept() would steal

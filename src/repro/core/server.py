@@ -32,6 +32,7 @@ from typing import Any, Callable
 
 from repro.core.request import REPLY_FAILED, REPLY_OK, Reply, Request
 from repro.errors import (
+    CommError,
     DeadlockError,
     DiskCrashedError,
     QueueEmpty,
@@ -60,6 +61,7 @@ class ServerStats:
         self.aborts = 0
         self.empty_polls = 0
         self.storage_errors = 0
+        self.comm_errors = 0
 
 
 class Server:
@@ -114,6 +116,10 @@ class Server:
         self._m_storage_errors = metrics.counter(
             "server_storage_errors_total",
             "processing attempts aborted by storage errors", ("server",),
+        ).labels(server=name)
+        self._m_comm_errors = metrics.counter(
+            "server_comm_errors_total",
+            "processing attempts that lost their queue manager", ("server",),
         ).labels(server=name)
         self._m_processing = metrics.histogram(
             "request_processing_seconds",
@@ -237,11 +243,14 @@ class Server:
         ctx = span.context()
         if ctx is not None:
             headers["trace"] = ctx
+        # The reply is the transaction's last operation (Figure 5), so
+        # a remote queue manager may commit in the same call.
         self.reply_qm.enqueue(
             handle,
             reply.to_body(),
             txn=txn,
             headers=headers,
+            final=True,
         )
 
     # ------------------------------------------------------------------
@@ -265,6 +274,12 @@ class Server:
         until restart recovery, so the loop stops and records the cause
         in :attr:`last_fatal` for the supervisor (chaos engine, test
         harness) to act on.
+
+        A :class:`CommError` means a remote queue manager is
+        unreachable (a shard down for longer than the transport's retry
+        budget): whatever the attempt did is settled by the shard's
+        restart recovery, so it counts, waits one ``poll_timeout`` and
+        continues — the loop outlives the outage.
         """
         processed = 0
         self.last_fatal = None
@@ -287,6 +302,11 @@ class Server:
                 self.stats.storage_errors += 1
                 self._m_storage_errors.inc()
                 continue
+            except CommError as exc:
+                self.stats.comm_errors += 1
+                self._m_comm_errors.inc()
+                logger.debug("server %r: %s; retrying", self.name, exc)
+                self._stop.wait(poll_timeout)
         return processed
 
     def start(self, poll_timeout: float = 0.05) -> None:

@@ -146,6 +146,7 @@ class QueueManager:
         txn: Transaction | None = None,
         priority: int = 0,
         headers: dict[str, Any] | None = None,
+        final: bool = False,
     ) -> int:
         """Figure 3: ``e = Enqueue(h, element, t)``.
 
@@ -159,7 +160,12 @@ class QueueManager:
         retry whose first attempt's acknowledgement was lost) and the
         original eid is returned without enqueuing again.  Rids are
         unique per request (Section 3), so equal tags always mean the
-        same logical Send."""
+        same logical Send.
+
+        ``final`` is the caller's promise that ``txn`` does nothing
+        after this enqueue.  Here it changes nothing (commit is a local
+        call); the remote stub uses it to send the commit with the
+        enqueue (:mod:`repro.comm.remote`)."""
         if not self._obs_on:
             return self._enqueue(
                 handle, body, tag, txn=txn, priority=priority, headers=headers

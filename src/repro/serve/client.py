@@ -14,6 +14,16 @@ is reused too: :class:`RemoteShardedQueueManager` only overrides the
 two routing hooks of :class:`repro.comm.remote.RemoteQueueManager`,
 where the operation bodies and wire payloads live.
 
+Branches cost no calls of their own on the common path.
+:meth:`RemoteShardTM.begin` is local: it returns an unopened
+:class:`RemoteBranch`, and the first queue operation sent in it opens
+it on the shard (``"txn": "new"``, see :mod:`repro.comm.remote`).  An
+``enqueue(..., final=True)`` in a transaction that is one branch carries
+the commit, after which :meth:`RemoteShardTM.commit` has nothing left to
+send — Figure 5's server transaction is two wire calls, its two queue
+operations.  A transaction with two branches commits by the two-phase
+path below, unchanged.
+
 Branch-status mirroring: a :class:`RemoteBranch` keeps a client-side
 copy of the server transaction's status, updated by the outcome of
 each wire call, because the routing layer steers on ``branch.status``.
@@ -25,10 +35,16 @@ Failure mapping (the same taxonomy in-proc callers see):
 
 * a dead shard surfaces as :class:`PartitionedError`/:class:`RpcTimeout`
   from the transport, classified retryable by servers and clerks;
-* a commit whose reply was lost is *unknown*: the caller retries the
+* a commit whose reply was lost — ``txn_commit``'s or the final
+  enqueue's that carried it — is *unknown*: the caller retries the
   whole request transaction, and the queue discipline (tagged
   operations, dequeue redelivery) makes the end result exactly-once —
   the paper's argument, now over a real wire;
+* an opening operation whose reply was lost may have opened a branch
+  nobody can name: it holds its locks (a dequeued element) until the
+  shard restarts and recovery aborts it — the element is delayed,
+  never lost (ROADMAP item 5(ii) is the lease that would reclaim it
+  sooner);
 * a coordinator crash between decision and phase 2 leaves branches
   prepared on live shards; :meth:`RemoteTwoPhaseCoordinator.commit`
   polls the restarted coordinator for the durable decision (presumed
@@ -50,6 +66,7 @@ from repro.comm.transport import TcpTransport, Transport
 from repro.comm.wire import unwrap
 from repro.errors import (
     CommError,
+    InvalidTransactionState,
     NoSuchQueueError,
     QueueExistsError,
     ReproError,
@@ -138,9 +155,12 @@ class ShardClient:
 class RemoteBranch:
     """Client-side mirror of one shard-local branch transaction."""
 
-    def __init__(self, tm: "RemoteShardTM", branch_id: int):
+    def __init__(self, tm: "RemoteShardTM"):
         self.tm = tm
-        self.id = branch_id
+        #: the shard's id for the branch; ``None`` until its first
+        #: operation has opened it there — an unopened branch has
+        #: nothing on the shard to commit, prepare or abort
+        self.id: int | None = None
         self.status = TxnStatus.ACTIVE
         #: global id, set when the branch is prepared — lets outcome
         #: calls fall back to gid resolution across a shard restart
@@ -159,6 +179,9 @@ class RemoteShardTM:
     branch id space after a restart.  An unknown outcome (lost reply)
     surfaces as :class:`CommError`; the caller retries the whole
     request transaction and the queues absorb the duplicate.
+
+    Every outcome of a branch that never opened is local, and so is
+    the commit of one whose final enqueue already carried it.
     """
 
     def __init__(self, client: ShardClient, shard_index: int):
@@ -168,12 +191,19 @@ class RemoteShardTM:
     # -- lifecycle -------------------------------------------------------
 
     def begin(self) -> RemoteBranch:
-        branch_id = self.client.call({"op": "txn_begin"}, retries=0)
-        return RemoteBranch(self, branch_id)
+        return RemoteBranch(self)
+
+    def _outcome(self, txn: RemoteBranch, op: str, **fields: Any) -> None:
+        """Send one outcome call — unless ``txn`` never opened, when the
+        shard has nothing to apply it to."""
+        if txn.id is not None:
+            self.client.call({"op": op, "txn": txn.id, **fields}, retries=0)
 
     def commit(self, txn: RemoteBranch) -> None:
+        if txn.status is TxnStatus.COMMITTED:
+            return  # its final enqueue carried the commit
         try:
-            self.client.call({"op": "txn_commit", "txn": txn.id}, retries=0)
+            self._outcome(txn, "txn_commit")
         except TransactionAborted:
             txn.status = TxnStatus.ABORTED
             raise
@@ -182,14 +212,15 @@ class RemoteShardTM:
     def abort(self, txn: RemoteBranch, reason: str = "application abort") -> None:
         if txn.status in (TxnStatus.COMMITTED, TxnStatus.ABORTED):
             return
-        try:
-            self.client.call(
-                {"op": "txn_abort", "txn": txn.id, "reason": reason}
-            )
-        except CommError:
-            # Shard unreachable: its restart recovery aborts the branch
-            # anyway (presumed abort for unprepared work).
-            pass
+        if txn.id is not None:
+            try:
+                self.client.call(
+                    {"op": "txn_abort", "txn": txn.id, "reason": reason}
+                )
+            except CommError:
+                # Shard unreachable: its restart recovery aborts the
+                # branch anyway (presumed abort for unprepared work).
+                pass
         txn.status = TxnStatus.ABORTED
 
     def abort_by_id(self, txn_id: int, reason: str = "external abort") -> bool:
@@ -204,10 +235,7 @@ class RemoteShardTM:
 
     def prepare(self, txn: RemoteBranch, global_id: str) -> None:
         try:
-            self.client.call(
-                {"op": "txn_prepare", "txn": txn.id, "gid": global_id},
-                retries=0,
-            )
+            self._outcome(txn, "txn_prepare", gid=global_id)
         except TransactionAborted:
             txn.status = TxnStatus.ABORTED
             raise
@@ -215,17 +243,11 @@ class RemoteShardTM:
         txn.gid = global_id
 
     def commit_prepared(self, txn: RemoteBranch) -> None:
-        self.client.call(
-            {"op": "txn_commit_prepared", "txn": txn.id, "gid": txn.gid},
-            retries=0,
-        )
+        self._outcome(txn, "txn_commit_prepared", gid=txn.gid)
         txn.status = TxnStatus.COMMITTED
 
     def abort_prepared(self, txn: RemoteBranch) -> None:
-        self.client.call(
-            {"op": "txn_abort_prepared", "txn": txn.id, "gid": txn.gid},
-            retries=0,
-        )
+        self._outcome(txn, "txn_abort_prepared", gid=txn.gid)
         txn.status = TxnStatus.ABORTED
 
     # -- counters (benchmark parity) ------------------------------------
@@ -593,13 +615,22 @@ class RemoteShardedQueueManager(RemoteQueueManager):
         shard = self.repo.shard_of(qname)
         return self.repo.clients[shard].call, shard
 
-    def _branch_id(self, txn: Any, where: int) -> int | None:
+    def _branch(self, txn: Any, where: int) -> tuple[RemoteBranch | None, bool]:
         if txn is None:
-            return None
+            return None, False
         if isinstance(txn, RoutedTransaction):
-            return txn.branch_for(where).id
-        if isinstance(txn, RemoteBranch):
-            return txn.id
-        raise ReproError(
-            f"cannot route a {type(txn).__name__} over the wire"
-        )
+            branch, sole = txn.branch_for(where), not txn.is_cross_shard
+        elif isinstance(txn, RemoteBranch):
+            branch, sole = txn, False
+        else:
+            raise ReproError(
+                f"cannot route a {type(txn).__name__} over the wire"
+            )
+        if branch.status is not TxnStatus.ACTIVE:
+            # e.g. an operation after the branch's final enqueue: the
+            # shard has finished the branch, so this never goes out
+            raise InvalidTransactionState(
+                f"branch {branch.id} on shard {where} is "
+                f"{branch.status.value}, not active"
+            )
+        return branch, sole

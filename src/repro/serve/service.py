@@ -4,9 +4,17 @@ A :class:`ShardService` extends the clerk-facing
 :class:`~repro.comm.remote.QueueManagerService` with everything a
 *transactional* remote caller needs:
 
-* a branch table — ``txn_begin`` opens a shard-local transaction and
-  returns its id; later calls name it (``{"txn": id}``) so a routed
-  transaction's queue operations land in the right branch;
+* a branch table — the first ``enqueue``/``dequeue`` of a branch says
+  ``"txn": "new"``: the service begins a shard-local transaction, runs
+  the operation in it and returns the new id with the result (or, when
+  the operation fails, aborts and forgets the branch before
+  answering); later calls name the branch (``{"txn": id}``) so a routed
+  transaction's queue operations land in it.  ``txn_begin`` opens a
+  branch without an operation (no stub sends it; service-level tests
+  and tools do);
+* the commit riding the last operation — an ``enqueue`` with
+  ``"commit": true`` enqueues and commits its branch under one dispatch
+  and one log force;
 * the two-phase-commit branch operations (``txn_prepare`` /
   ``txn_commit_prepared`` / ``txn_abort_prepared``) driven by the
   client-side coordinator of :mod:`repro.serve.client`;
@@ -21,9 +29,10 @@ A :class:`ShardService` extends the clerk-facing
   ``depths``, ``checkpoint``, ``hello``).
 
 Retry discipline: the transport is at-least-once for idempotent queue
-operations but transaction *outcome* ops are called with ``retries=0``
-(at-most-once).  A retried ``txn_commit_prepared``/``txn_abort_prepared``
-after a restart falls back to the global id: the branch was recovered
+operations but transaction *outcome* ops — ``txn_commit``, an enqueue
+that carries the commit, ``txn_prepare`` and the two prepared-branch
+outcomes — are called with ``retries=0`` (at-most-once).  A retried
+``txn_commit_prepared``/``txn_abort_prepared`` after a restart falls back to the global id: the branch was recovered
 in doubt and is resolved by gid, or the outcome already applied before
 the crash — either way the call is idempotent because the decision was
 durable first.
@@ -31,7 +40,7 @@ durable first.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.comm.remote import QueueManagerService
 from repro.errors import QueueExistsError, ReproError, TransactionAborted
@@ -83,6 +92,40 @@ class ShardService(QueueManagerService):
         while len(self._outcomes) > _OUTCOME_CACHE:
             self._outcomes.pop(next(iter(self._outcomes)))
 
+    def _begin(self) -> Transaction:
+        txn = self.repo.tm.begin()
+        self.txns[txn.id] = txn
+        return txn
+
+    def _commit(self, txn: Transaction) -> None:
+        try:
+            self.repo.tm.commit(txn)
+        except BaseException:
+            if txn.status is TxnStatus.ABORTED:
+                self._finish(txn.id, "abort")
+            raise
+        self._finish(txn.id, "commit")
+
+    def _in_txn(self, payload: dict[str, Any], operation: Callable[[Any], Any]) -> Any:
+        """Run a queue operation in the branch its payload names:
+        ``"txn": "new"`` opens the branch first and answers with its id,
+        ``"commit": true`` commits it afterwards."""
+        opening = payload.get("txn") == "new"
+        txn = self._begin() if opening else self._resolve_txn(payload)
+        try:
+            result = operation(txn)
+            if txn is not None and payload.get("commit"):
+                self._commit(txn)
+        except BaseException:
+            if opening:
+                # The caller never learned this branch's id: nobody
+                # else can end it (QueueEmpty on every idle poll).
+                if txn.status is TxnStatus.ACTIVE:
+                    self.repo.tm.abort(txn, "opening operation failed")
+                self.txns.pop(txn.id, None)
+            raise
+        return {"txn": txn.id, "result": result} if opening else result
+
     # -- admin ----------------------------------------------------------
 
     def _op_hello(self, payload: dict[str, Any]) -> dict[str, Any]:
@@ -120,9 +163,7 @@ class ShardService(QueueManagerService):
     # -- transaction lifecycle ------------------------------------------
 
     def _op_txn_begin(self, payload: dict[str, Any]) -> int:
-        txn = self.repo.tm.begin()
-        self.txns[txn.id] = txn
-        return txn.id
+        return self._begin().id
 
     def _op_txn_commit(self, payload: dict[str, Any]) -> None:
         branch_id = payload["txn"]
@@ -133,13 +174,7 @@ class ShardService(QueueManagerService):
             raise TransactionAborted(
                 branch_id, "unknown branch (shard restarted; presumed abort)"
             )
-        try:
-            self.repo.tm.commit(txn)
-        except BaseException:
-            if txn.status is TxnStatus.ABORTED:
-                self._finish(branch_id, "abort")
-            raise
-        self._finish(branch_id, "commit")
+        self._commit(txn)
 
     def _op_txn_abort(self, payload: dict[str, Any]) -> None:
         branch_id = payload["txn"]

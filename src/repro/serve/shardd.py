@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-inflight", type=int, default=256,
         help="server-side admission bound: calls executing concurrently "
-             "before the listener stops reading new frames (default 256)",
+             "before the listener stops reading new frames, and so the "
+             "most resident worker threads it keeps (default 256)",
     )
     return parser
 

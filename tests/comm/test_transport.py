@@ -1,11 +1,23 @@
 """TCP transport behaviour against real sockets: multiplexing,
 correlation, retry/reconnect, and mid-call peer death."""
 
+import os
 import socket
+import subprocess
+import sys
+import textwrap
 import threading
+import time
 
 import pytest
 
+from repro.comm.remote import (
+    QueueManagerService,
+    handle_from_record,
+    op_depth,
+    op_dequeue,
+    op_register,
+)
 from repro.comm.transport import NO_RESPONSE, TcpListener, TcpTransport
 from repro.comm.wire import (
     KIND_RESP,
@@ -14,7 +26,16 @@ from repro.comm.wire import (
     ok_payload,
     unwrap,
 )
-from repro.errors import CommError, PartitionedError, RpcTimeout
+from repro.errors import (
+    CommError,
+    PartitionedError,
+    QueueEmpty,
+    ReproError,
+    RpcTimeout,
+)
+from repro.queueing.manager import QueueManager
+from repro.queueing.repository import QueueRepository
+from repro.storage.disk import MemDisk
 
 
 def make_transport(port, **kwargs):
@@ -125,8 +146,6 @@ class TestPeerDeath:
         try:
             thread.start()
             # Let the request hit the wire, then kill the server.
-            import time
-
             time.sleep(0.3)
             listener.close()
             thread.join(timeout=5.0)
@@ -207,3 +226,188 @@ class TestCorrelation:
         finally:
             transport.close()
             server.close()
+
+
+def _workers(listener):
+    return [t for t in threading.enumerate()
+            if t.name == f"tcp-worker-{listener.port}"]
+
+
+class TestResidentWorkers:
+    """The listener serves calls from parked worker threads: started
+    when none is free, reused afterwards, never more than
+    ``max_inflight``."""
+
+    def _queue_service(self):
+        repo = QueueRepository("s0", MemDisk())
+        repo.create_queue("q")
+        service = QueueManagerService(QueueManager(repo))
+        handle = unwrap(service.handle(op_register("q", "r1")))["handle"]
+        return service, handle_from_record(handle)
+
+    def test_a_parked_blocking_dequeue_does_not_delay_its_socket(self):
+        service, handle = self._queue_service()
+        listener = TcpListener(service.handle)
+        transport = make_transport(listener.port)
+
+        def blocked():
+            try:
+                unwrap(transport.request(
+                    op_dequeue(handle, block=True, timeout=5.0), timeout=10.0))
+            except (QueueEmpty, CommError):
+                pass  # the test ends (and closes the transport) first
+
+        waiter = threading.Thread(target=blocked, daemon=True)
+        try:
+            waiter.start()
+            deadline = time.monotonic() + 5.0
+            while not _workers(listener) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            started = time.monotonic()
+            for _ in range(20):
+                assert unwrap(transport.request(op_depth("q"))) == 0
+            assert time.monotonic() - started < 2.0
+            assert waiter.is_alive()  # still parked in its dequeue
+            assert transport.reconnects == 0  # the same socket throughout
+            assert len(_workers(listener)) == 2
+        finally:
+            transport.close()
+            listener.close()
+
+    def test_sequential_calls_reuse_one_worker(self):
+        listener = TcpListener(lambda payload: ok_payload(payload["n"]))
+        transport = make_transport(listener.port)
+        try:
+            assert unwrap(transport.request({"n": -1})) == -1
+            threads = threading.active_count()
+            (worker,) = _workers(listener)
+            for n in range(1000):
+                assert unwrap(transport.request({"n": n})) == n
+            assert threading.active_count() == threads
+            assert _workers(listener) == [worker]
+            assert listener.handled == 1001
+        finally:
+            transport.close()
+            listener.close()
+
+    def test_concurrent_calls_never_exceed_max_inflight(self):
+        running, peak, gate = [0], [0], threading.Lock()
+
+        def handler(payload):
+            with gate:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.02)
+            with gate:
+                running[0] -= 1
+            return ok_payload(payload["n"])
+
+        listener = TcpListener(handler, max_inflight=3)
+        transport = make_transport(listener.port)
+        results: dict[int, int] = {}
+
+        def call(n):
+            results[n] = unwrap(transport.request({"n": n}))
+
+        try:
+            threads = [threading.Thread(target=call, args=(n,)) for n in range(12)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10.0)
+            assert results == {n: n for n in range(12)}
+            assert peak[0] <= 3
+            assert 1 <= len(_workers(listener)) <= 3
+        finally:
+            transport.close()
+            listener.close()
+
+    def test_close_lets_the_workers_go(self):
+        listener = TcpListener(lambda payload: ok_payload(None))
+        transport = make_transport(listener.port)
+        try:
+            unwrap(transport.request({}))
+            (worker,) = _workers(listener)
+        finally:
+            transport.close()
+            listener.close()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
+
+    def test_an_escaping_exception_drops_the_connection_not_the_worker(self):
+        """The caller must fail at once (its attempts find the
+        connection gone), not wait out timeout x (retries + 1)."""
+        def handler(payload):
+            if payload.get("boom"):
+                raise KeyError("op")
+            return ok_payload("fine")
+
+        listener = TcpListener(handler)
+        transport = make_transport(listener.port, timeout=30.0, max_retries=1)
+        try:
+            assert unwrap(transport.request({})) == "fine"
+            (worker,) = _workers(listener)
+            started = time.monotonic()
+            with pytest.raises(CommError):
+                transport.request({"boom": 1})
+            assert time.monotonic() - started < 5.0
+            assert unwrap(transport.request({})) == "fine"  # reconnects
+            assert worker.is_alive()
+        finally:
+            transport.close()
+            listener.close()
+
+    def test_a_malformed_payload_is_answered_over_the_wire(self):
+        service, _handle = self._queue_service()
+        listener = TcpListener(service.handle)
+        transport = make_transport(listener.port, timeout=30.0, max_retries=1)
+        try:
+            started = time.monotonic()
+            with pytest.raises(ReproError, match="missing field 'op'"):
+                unwrap(transport.request({"nop": 1}))
+            assert time.monotonic() - started < 5.0
+            assert transport.retries == 0 and transport.reconnects == 0
+        finally:
+            transport.close()
+            listener.close()
+
+    def test_a_worker_parked_in_a_long_dequeue_does_not_hold_up_exit(self):
+        script = textwrap.dedent("""
+            import threading, time
+            from repro.comm.remote import (QueueManagerService, handle_from_record,
+                                           op_dequeue, op_register)
+            from repro.comm.transport import TcpListener, TcpTransport
+            from repro.comm.wire import unwrap
+            from repro.queueing.manager import QueueManager
+            from repro.queueing.repository import QueueRepository
+            from repro.storage.disk import MemDisk
+
+            repo = QueueRepository("s0", MemDisk())
+            repo.create_queue("q")
+            service = QueueManagerService(QueueManager(repo))
+            handle = handle_from_record(
+                unwrap(service.handle(op_register("q", "r1")))["handle"])
+            listener = TcpListener(service.handle)
+            transport = TcpTransport("127.0.0.1", listener.port)
+            threading.Thread(
+                target=transport.request,
+                args=(op_dequeue(handle, block=True, timeout=60.0), 70.0),
+                daemon=True,
+            ).start()
+            while not any(t.name.startswith("tcp-worker") for t in threading.enumerate()):
+                time.sleep(0.01)
+            time.sleep(0.2)  # the worker is inside its 60 s dequeue now
+            print("parked", flush=True)
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "..", "src"),
+             env.get("PYTHONPATH", "")])
+        started = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=30.0,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "parked"
+        assert time.monotonic() - started < 15.0

@@ -51,6 +51,16 @@ GOLDEN = [
     (remote.op_dequeue(HANDLE, error_queue="req.err", txn=9),
      {"op": "dequeue", "handle": HANDLE_RECORD, "tag": None,
       "error_queue": "req.err", "txn": 9, "block": False, "timeout": None}),
+    # the two shapes that make a server transaction two calls: the
+    # first operation opens the branch, the last one carries the commit
+    (remote.op_dequeue(HANDLE, error_queue="req.err", txn="new",
+                       block=True, timeout=0.05),
+     {"op": "dequeue", "handle": HANDLE_RECORD, "tag": None,
+      "error_queue": "req.err", "txn": "new", "block": True,
+      "timeout": 0.05}),
+    (remote.op_enqueue(HANDLE, 1, txn=9, headers={"rid": "c0#1"}, commit=True),
+     {"op": "enqueue", "handle": HANDLE_RECORD, "body": 1, "tag": None,
+      "txn": 9, "priority": 0, "headers": {"rid": "c0#1"}, "commit": True}),
     (remote.op_registration_info(HANDLE),
      {"op": "registration_info", "handle": HANDLE_RECORD}),
     (remote.op_read(HANDLE, 5),
@@ -84,6 +94,11 @@ def test_canonical_send_frame_is_byte_identical():
     )
     assert frame == encode_frame(KIND_CALL, 7, SEND)
     assert len(frame) == 286  # this call's frame length at the parent commit
+
+
+def test_only_a_committing_enqueue_has_the_commit_key():
+    assert "commit" not in remote.op_enqueue(HANDLE, 1, txn=9)
+    assert "commit" not in remote.op_enqueue(HANDLE, 1, txn=9, commit=False)
 
 
 class _Recorder:

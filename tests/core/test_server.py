@@ -10,6 +10,7 @@ import pytest
 from repro.core.request import REPLY_FAILED, Reply, Request
 from repro.core.server import Server
 from repro.core.system import TPSystem
+from repro.errors import PartitionedError, RpcTimeout
 from repro.queueing.manager import QueueManager
 from repro.queueing.repository import QueueRepository
 from repro.storage.disk import MemDisk
@@ -132,6 +133,27 @@ class TestThreaded:
             assert reply.body == "threaded"
         finally:
             server.stop()
+
+    def test_comm_errors_are_counted_and_the_loop_goes_on(self, system):
+        """A queue manager out of reach (a shard down for longer than
+        the transport retries) must not end the serve loop."""
+        server = system.server("s", lambda txn, r: "ok")
+        process_one = server.process_one
+        outage = iter([RpcTimeout("no response"), PartitionedError("down")])
+
+        def flaky(**kwargs):
+            for error in outage:
+                raise error
+            return process_one(**kwargs)
+
+        server.process_one = flaky
+        clerk = send(system, "c1", 1)
+        processed = server.serve_until(
+            lambda: server.stats.processed >= 1, poll_timeout=0.01)
+        assert processed == 1
+        assert server.stats.comm_errors == 2
+        assert server.last_fatal is None
+        assert clerk.receive(timeout=2).body == "ok"
 
     def test_double_start_rejected(self, system):
         server = system.server("s", lambda txn, r: "x")

@@ -11,6 +11,7 @@ network that loses connections when a process dies.
 
 import shutil
 import tempfile
+import time
 
 import pytest
 
@@ -128,6 +129,32 @@ class TestTcpDeployment:
         assert got == {"c1": {1, 2, 3}, "c2": {1, 2}}
         assert tcp_system.request_qm.depth(tcp_system.request_queue) == 0
         tcp_system.checker().assert_ok()
+
+    def test_server_thread_outlives_a_shard_outage(self, tcp_system):
+        """With the request shard down for longer than the transport
+        retries, the server's opening dequeue raises a CommError; the
+        serve loop must count it and go on, and serve again once the
+        shard is back."""
+        for client in tcp_system.request_repo.clients:
+            client.transport.max_retries = 1  # a long outage, without the wait
+        clerk = tcp_system.clerk("c1")
+        clerk.connect()
+        server = tcp_system.server("s1", lambda txn, r: {"echo": r.body})
+        victim = tcp_system.request_repo.shard_of(tcp_system.request_queue)
+        server.start(poll_timeout=0.05)
+        try:
+            tcp_system.kill_shard(victim)
+            deadline = time.monotonic() + 20.0
+            while server.stats.comm_errors < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert server.stats.comm_errors >= 2
+            assert server.last_fatal is None
+            tcp_system.restart_shard(victim)
+            send(tcp_system, clerk, "c1", 1, {"n": 1})
+            reply = clerk.receive(timeout=20)
+            assert reply.body == {"echo": {"n": 1}}
+        finally:
+            server.stop()
 
     def test_restart_recovers_durable_backlog(self, tcp_system):
         """Requests accepted before a SIGKILL survive it: Send's promise

@@ -6,10 +6,17 @@ reachable deterministically."""
 import pytest
 
 from repro.comm.wire import unwrap
-from repro.errors import TransactionAborted
+from repro.errors import (
+    DiskIOError,
+    NotRegisteredError,
+    QueueEmpty,
+    ReproError,
+    TransactionAborted,
+)
 from repro.queueing.repository import QueueRepository
 from repro.serve.service import ShardService
 from repro.storage.disk import MemDisk
+from repro.storage.faults import DiskFault, FaultyDisk
 
 
 def make_service(disk=None, epoch=0):
@@ -97,6 +104,120 @@ class TestBranchTable:
         txn = call(service, op="txn_begin")
         call(service, op="txn_abort", txn=txn)
         call(service, op="txn_abort", txn=txn)
+
+
+class TestOpeningOperation:
+    """``"txn": "new"``: the first operation of a branch opens it."""
+
+    def test_it_answers_with_the_branch_id_and_the_result(self):
+        service = make_service()
+        call(service, op="create_queue", queue="q")
+        handle = register(service)
+        answer = call(service, op="enqueue", handle=handle, body=1, txn="new")
+        assert set(answer) == {"txn", "result"}
+        assert list(service.txns) == [answer["txn"]]
+        assert call(service, op="depth", queue="q") == 0  # not committed yet
+        call(service, op="txn_commit", txn=answer["txn"])
+        assert call(service, op="depth", queue="q") == 1
+
+    def test_begin_and_new_share_the_branch_table(self):
+        service = make_service()
+        call(service, op="create_queue", queue="q")
+        handle = register(service)
+        begun = call(service, op="txn_begin")
+        opened = call(service, op="enqueue", handle=handle, body=1, txn="new")
+        assert sorted(service.txns) == sorted([begun, opened["txn"]])
+
+    def test_a_failed_opener_is_aborted_and_forgotten(self):
+        service = make_service()
+        call(service, op="create_queue", queue="q")
+        handle = register(service)
+        with pytest.raises(QueueEmpty):
+            call(service, op="dequeue", handle=handle, txn="new")
+        stranger = {**handle, "registrant": "nobody"}
+        with pytest.raises(NotRegisteredError):
+            call(service, op="enqueue", handle=stranger, body=1, txn="new")
+        assert service.txns == {}
+        assert service.repo.tm.aborts == 2
+        assert service.repo.tm._active == {}
+
+
+class TestCommitOnEnqueue:
+    """``"commit": true``: the last operation carries the commit."""
+
+    def test_enqueue_and_commit_under_one_force(self):
+        disk = MemDisk()
+        service = make_service(disk)
+        call(service, op="create_queue", queue="q")
+        handle = register(service)
+        txn = call(service, op="txn_begin")
+        call(service, op="enqueue", handle=handle, body=1, txn=txn)
+        flushes = disk.flush_count
+        call(service, op="enqueue", handle=handle, body=2, txn=txn, commit=True)
+        assert disk.flush_count == flushes + 1
+        assert service.txns == {}
+        assert call(service, op="depth", queue="q") == 2
+        call(service, op="txn_commit", txn=txn)  # a duplicate outcome: no-op
+
+    def test_a_failed_enqueue_leaves_the_branch_active(self):
+        service = make_service()
+        call(service, op="create_queue", queue="q")
+        handle = register(service)
+        txn = call(service, op="txn_begin")
+        stranger = {**handle, "registrant": "nobody"}
+        with pytest.raises(NotRegisteredError):
+            call(service, op="enqueue", handle=stranger, body=1, txn=txn,
+                 commit=True)
+        assert list(service.txns) == [txn]
+        call(service, op="txn_abort", txn=txn)
+
+    def test_a_commit_that_hard_aborts_finishes_the_branch(self):
+        disk = FaultyDisk(MemDisk())
+        service = make_service(disk)
+        call(service, op="create_queue", queue="q")
+        handle = register(service)
+        txn = call(service, op="txn_begin")
+        # (the queue's first enqueue forces an eid reservation of its own)
+        call(service, op="enqueue", handle=handle, body=0, txn=txn)
+        disk.add_fault(DiskFault(op="flush", hit=disk._counts[("flush", None)] + 1))
+        with pytest.raises(DiskIOError):
+            call(service, op="enqueue", handle=handle, body=1, txn=txn,
+                 commit=True)
+        assert service.txns == {}
+        call(service, op="txn_abort", txn=txn)  # the caller's abort: a no-op
+        with pytest.raises(TransactionAborted):
+            call(service, op="txn_commit", txn=txn)
+
+    def test_opening_and_committing_in_one_call(self):
+        service = make_service()
+        call(service, op="create_queue", queue="q")
+        handle = register(service)
+        answer = call(service, op="enqueue", handle=handle, body=1, txn="new",
+                      commit=True)
+        assert service.txns == {}
+        assert call(service, op="depth", queue="q") == 1
+        assert isinstance(answer["txn"], int)
+
+
+class TestMalformedPayload:
+    """A payload the service cannot read is answered like any failed
+    call — it must not escape ``handle`` and leave the caller waiting
+    out its timeouts."""
+
+    @pytest.mark.parametrize("payload, complaint", [
+        (["op", "depth"], "expected a dict"),
+        ({"nop": 1}, "missing field 'op'"),
+        ({"op": "no_such_op"}, "unknown queue-manager operation"),
+        ({"op": ["depth"]}, "unknown queue-manager operation"),
+        ({"op": "depth"}, "missing field 'queue'"),
+        ({"op": "txn_commit"}, "missing field 'txn'"),
+    ])
+    def test_it_gets_an_error_envelope(self, payload, complaint):
+        response = make_service().handle(payload)
+        assert response["err"] == "ReproError"
+        assert complaint in response["msg"]
+        with pytest.raises(ReproError):
+            unwrap(response)
 
 
 class TestTwoPhase:
