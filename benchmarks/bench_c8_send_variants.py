@@ -14,18 +14,25 @@ request; under loss, one-way still converges via reconnection.
 from __future__ import annotations
 
 from repro.comm.network import SimNetwork
-from repro.comm.rpc import RpcChannel, RpcServer
+from repro.comm.transport import InProcListener, InProcTransport, OneWayTransport
 from repro.core.request import Request
 from repro.core.system import TPSystem
 
 REQUESTS = 20
 
 
+def _qm_node(network):
+    """The queue manager's endpoint: runs the clerk operation a message
+    names (here the operation itself, as the simulated network carries
+    Python objects)."""
+    return InProcListener(network, "qm", lambda operation: operation())
+
+
 def _system_with_network(loss_rate=0.0, seed=0):
     system = TPSystem()
     network = SimNetwork(seed=seed, loss_rate=loss_rate)
-    RpcServer(network, "qm")
-    channel = RpcChannel(network, "client", "qm", max_retries=100)
+    _qm_node(network)
+    channel = InProcTransport(network, "client", "qm", max_retries=100)
     server = system.server("s", lambda txn, r: {"echo": r.body})
     clerk = system.clerk("c1")
     clerk.connect()
@@ -43,19 +50,20 @@ def rpc_send_rpc_receive() -> int:
     system, network, channel, server, clerk = _system_with_network()
     for seq in range(1, REQUESTS + 1):
         request = _request(system, seq)
-        channel.call(lambda: clerk.send(request, request.rid))
+        channel.request(lambda: clerk.send(request, request.rid))
         server.process_one()
-        channel.call(lambda: clerk.receive(timeout=2))
+        channel.request(lambda: clerk.receive(timeout=2))
     return network.stats.sent
 
 
 def oneway_send_rpc_receive() -> int:
     system, network, channel, server, clerk = _system_with_network()
+    oneway = OneWayTransport(network, "client", "qm")
     for seq in range(1, REQUESTS + 1):
         request = _request(system, seq)
-        channel.post(lambda: clerk.send(request, request.rid))  # 1 message
+        oneway.post(lambda: clerk.send(request, request.rid))   # 1 message
         server.process_one()
-        channel.call(lambda: clerk.receive(timeout=2))          # 2 messages
+        channel.request(lambda: clerk.receive(timeout=2))       # 2 messages
     return network.stats.sent
 
 
@@ -71,7 +79,7 @@ def transceive() -> int:
 
     for seq in range(1, REQUESTS + 1):
         request = _request(system, seq)
-        channel.call(lambda: serve_and_receive(request))
+        channel.request(lambda: serve_and_receive(request))
     return network.stats.sent
 
 
@@ -119,9 +127,7 @@ def test_c8_oneway_loss_recovered_at_reconnect(benchmark):
     def lossy_run():
         system = TPSystem()
         network = SimNetwork(seed=5, loss_rate=0.5)
-        RpcServer(network, "qm")
-        from repro.comm.rpc import OneWayTransport
-
+        _qm_node(network)
         clerk = system.clerk("c1")
         clerk.transport = OneWayTransport(network, "client", "qm")
         clerk.connect()

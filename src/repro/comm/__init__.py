@@ -13,20 +13,20 @@ the opening failure scenario of Section 2.  This package provides:
 * :class:`~repro.comm.transport.Transport` — the correlated
   request/response interface, with two media behind it:
   :class:`~repro.comm.transport.InProcTransport` (the simulated
-  network, byte-identical to the legacy channel behaviour) and
-  :class:`~repro.comm.transport.TcpTransport` (a real socket speaking
-  the CRC'd length-prefixed frames of :mod:`repro.comm.wire`).
-* :class:`~repro.comm.rpc.RpcChannel` — the legacy closure-payload
-  flavour of the same engine, kept for benchmark C8's message-count
-  comparisons; and one-way posts (one message) over the network.
+  network) and :class:`~repro.comm.transport.TcpTransport` (a real
+  socket speaking the CRC'd length-prefixed frames of
+  :mod:`repro.comm.wire`).
+* :class:`~repro.comm.transport.OneWayTransport` — one-way posts (one
+  message, possibly lost) over the simulated network: Section 5's
+  unacknowledged Send.
 """
 
 from repro.comm.network import SimNetwork, NetworkStats
-from repro.comm.rpc import RpcChannel, OneWayTransport
 from repro.comm.transport import (
     NO_RESPONSE,
     InProcListener,
     InProcTransport,
+    OneWayTransport,
     TcpListener,
     TcpTransport,
     Transport,
@@ -45,7 +45,6 @@ from repro.comm.wire import (
 __all__ = [
     "SimNetwork",
     "NetworkStats",
-    "RpcChannel",
     "OneWayTransport",
     "Transport",
     "InProcTransport",

@@ -1,18 +1,18 @@
 """Transport abstraction: correlated request/response over any medium.
 
-:class:`~repro.comm.rpc.RpcChannel` grew a careful little engine —
-per-call correlation ids, duplicate-response discard, bounded retries
-with seeded exponential backoff — welded to the simulated network.
-This module extracts that engine (:class:`CorrelatedChannel`) behind a
-``Transport`` interface so the *same* retry/correlation semantics run
-over two media:
+Remote procedure call needs a careful little engine — per-call
+correlation ids, duplicate-response discard, bounded retries with
+seeded exponential backoff.  This module keeps that engine
+(:class:`CorrelatedChannel`) behind a ``Transport`` interface so the
+*same* retry/correlation semantics run over two media:
 
 * :class:`InProcTransport` / :class:`InProcListener` — the simulated
-  :class:`~repro.comm.network.SimNetwork`, byte-identical to the old
-  ``RpcChannel`` behaviour (same message tuples, same message counts,
-  same RNG draw discipline) but carrying *data* payloads instead of
-  closures, so the protocol is the one a real wire can speak.  This is
-  the deterministic substrate chaos schedules replay on.
+  :class:`~repro.comm.network.SimNetwork` (one message out, one back,
+  a fixed RNG draw discipline), carrying *data* payloads so the
+  protocol is the one a real wire can speak.  This is the
+  deterministic substrate chaos schedules replay on, and what
+  benchmark C8 counts Section 5's Send variants on —
+  :class:`OneWayTransport` is the one-message, may-be-lost Send.
 * :class:`TcpTransport` / :class:`TcpListener` — a real socket speaking
   the CRC'd length-prefixed frames of :mod:`repro.comm.wire`.  One
   connection multiplexes any number of concurrent calls (a reader
@@ -62,6 +62,9 @@ logger = logging.getLogger(__name__)
 
 _NO_RESPONSE = object()
 
+#: in-process one-way message kind (no call id, no response)
+KIND_POST = "post"
+
 #: sentinel a listener handler may return to drop the response on the
 #: floor (simulates a lost reply over a live connection)
 NO_RESPONSE = object()
@@ -91,14 +94,17 @@ class CorrelatedChannel:
     after a successful transmit or the message was lost.  Asynchronous
     media (sockets) pass a per-attempt wait in seconds.
 
-    Parameters mirror :class:`~repro.comm.rpc.RpcChannel`: retry ``n``
-    sleeps ``base * factor**n`` capped at ``max``, scaled by jitter in
-    ``[0.5, 1.0)`` from a :class:`random.Random` seeded with ``seed``.
+    ``max_retries`` is the number of additional attempts after the
+    first.  Retry ``n`` sleeps ``base * factor**n`` capped at ``max``,
+    scaled by jitter in ``[0.5, 1.0)`` from a :class:`random.Random`
+    seeded with ``seed``, so a storm of callers against a lossy or
+    partitioned network spreads out instead of hammering in lockstep;
+    a ``backoff_base`` of ``0.0`` retries immediately.
     """
 
     #: raise PartitionedError (not RpcTimeout) when no attempt was ever
     #: transmitted — real sockets distinguish "unreachable" from "no
-    #: answer"; the in-proc channel keeps the legacy RpcTimeout
+    #: answer"; the in-proc channel raises RpcTimeout either way
     _PARTITION_RAISES = False
 
     def __init__(
@@ -227,32 +233,17 @@ class CorrelatedChannel:
 class InProcTransport(CorrelatedChannel):
     """The wire protocol over :class:`SimNetwork`.
 
-    Message shapes and counts match :class:`~repro.comm.rpc.RpcChannel`
-    exactly — ``("call", id, payload, reply_to)`` out, ``("resp", id,
-    result)`` back, one send each — so chaos schedules that replayed
-    against the closure-based channel replay unchanged against this
-    one.  Only the payload changed: data instead of a closure.
+    ``("call", id, payload, reply_to)`` out, ``("resp", id, result)``
+    back, one send each: two messages per successful call, which is
+    what benchmark C8 counts and what chaos schedules replay against.
     """
 
-    def __init__(
-        self,
-        network: SimNetwork,
-        local: str,
-        remote: str,
-        max_retries: int = 10,
-        backoff_base: float = 0.0005,
-        backoff_factor: float = 2.0,
-        backoff_max: float = 0.01,
-        seed: int = 0,
-    ):
-        super().__init__(
-            max_retries=max_retries,
-            backoff_base=backoff_base,
-            backoff_factor=backoff_factor,
-            backoff_max=backoff_max,
-            seed=seed,
-            wait_timeout=None,
-        )
+    def __init__(self, network: SimNetwork, local: str, remote: str,
+                 **engine: Any):
+        """``engine``: the retry/backoff parameters of
+        :class:`CorrelatedChannel` (delivery is synchronous, so there
+        is no ``wait_timeout`` to give)."""
+        super().__init__(**engine)
         self.network = network
         self.local = local
         self.remote = remote
@@ -280,7 +271,9 @@ class InProcListener:
 
     The handler runs in the *sender's* thread (simulated-network
     delivery is synchronous), so injected crashes propagate into the
-    caller's stack exactly as with :class:`~repro.comm.rpc.RpcServer`.
+    caller's stack.  A one-way ``("post", payload)`` message
+    (:class:`OneWayTransport`) is handled the same way and answered
+    with nothing.
     """
 
     def __init__(self, network: SimNetwork, name: str,
@@ -292,8 +285,13 @@ class InProcListener:
         self.handled = 0
 
     def _on_message(self, message: Any) -> None:
-        if not (isinstance(message, tuple) and len(message) == 4
-                and message[0] == KIND_CALL):
+        if not isinstance(message, tuple):
+            return
+        if len(message) == 2 and message[0] == KIND_POST:
+            self.handled += 1
+            self.handler(message[1])
+            return
+        if not (len(message) == 4 and message[0] == KIND_CALL):
             return
         _, call_id, payload, reply_to = message
         self.handled += 1
@@ -307,6 +305,24 @@ class InProcListener:
         except (MessageLost, PartitionedError):
             # The response is lost; the caller retries the whole call.
             pass
+
+
+class OneWayTransport:
+    """The clerk's ``post(payload)`` transport for
+    :meth:`~repro.core.clerk.Clerk.send_oneway` (Section 5): one
+    message to an :class:`InProcListener`, no response, silently lost
+    when the network drops it — "the client will time out waiting for
+    its Receive ... and can determine what happened when it
+    reconnects"."""
+
+    def __init__(self, network: SimNetwork, local: str, remote: str):
+        self.network = network
+        self.local = local
+        self.remote = remote
+
+    def post(self, payload: Any) -> None:
+        # not ``reliable``: the network drops a lost message without a word
+        self.network.send(self.local, self.remote, (KIND_POST, payload))
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,6 @@ class MultiTransactionPipeline:
             pipeline.system.request_qm,
             self.input_queue(stage_index),
             handler,
-            reply_qm=pipeline.system.reply_qm,
             trace=pipeline.system.trace,
             injector=pipeline.system.injector,
             final=stage_index == len(self.stages) - 1,

@@ -73,7 +73,6 @@ class Server:
         request_qm: QueueManager,
         request_queue: str,
         handler: Handler,
-        reply_qm: QueueManager | None = None,
         trace: TraceRecorder | None = None,
         injector: FaultInjector | None = None,
         selector: Callable[..., bool] | None = None,
@@ -83,14 +82,6 @@ class Server:
         self.request_qm = request_qm
         self.request_queue = request_queue
         self.handler = handler
-        #: where replies are enqueued; must front the same repository,
-        #: since the reply rides the transaction that dequeued the request
-        self.reply_qm = reply_qm if reply_qm is not None else request_qm
-        if self.reply_qm.repo is not request_qm.repo:
-            raise ValueError(
-                "request and reply queues must live in one repository (one "
-                "transaction covers both); place replies on another shard instead"
-            )
         self.trace = trace
         self.injector = injector if injector is not None else NULL_INJECTOR
         self.selector = selector
@@ -235,7 +226,7 @@ class Server:
     ) -> None:
         handle = self._reply_handles.get(request.reply_to)
         if handle is None:
-            handle, _, _ = self.reply_qm.register(
+            handle, _, _ = self.request_qm.register(
                 request.reply_to, self.name, stable=False
             )
             self._reply_handles[request.reply_to] = handle
@@ -245,7 +236,7 @@ class Server:
             headers["trace"] = ctx
         # The reply is the transaction's last operation (Figure 5), so
         # a remote queue manager may commit in the same call.
-        self.reply_qm.enqueue(
+        self.request_qm.enqueue(
             handle,
             reply.to_body(),
             txn=txn,

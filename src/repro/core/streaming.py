@@ -88,7 +88,7 @@ class StreamingClient:
                 slot_registrant(self.client_id, slot),
                 self.system.request_qm,
                 self.system.request_queue,
-                self.system.reply_qm,
+                self.system.request_qm,
                 self.system.ensure_reply_queue(slot_registrant(self.client_id, slot)),
                 trace=self.trace,
                 injector=self.system.injector,

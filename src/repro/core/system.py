@@ -182,10 +182,6 @@ class TPSystem:
                 self.request_repo, cc=cc, lane=self.det_lane
             )
         self.request_disk = self.shard_disks[0] if self.shard_disks else None
-        # Replies "on another node" are reply queues placed on another
-        # shard of the one repository, so these are plain aliases.
-        self.reply_repo = self.request_repo
-        self.reply_qm = self.request_qm
 
         if request_queue not in self.request_repo.queues:
             self.request_repo.create_queue(
@@ -252,8 +248,8 @@ class TPSystem:
 
     def ensure_reply_queue(self, client_id: str) -> str:
         name = self.reply_queue_name(client_id)
-        if name not in self.reply_repo.queues:
-            self.reply_repo.create_queue(name)
+        if name not in self.request_repo.queues:
+            self.request_repo.create_queue(name)
         return name
 
     # ------------------------------------------------------------------
@@ -266,7 +262,7 @@ class TPSystem:
             client_id,
             self.request_qm,
             self.request_queue,
-            self.reply_qm,
+            self.request_qm,
             reply_queue,
             trace=self.trace,
             injector=self.injector,
@@ -304,7 +300,6 @@ class TPSystem:
             self.request_qm,
             request_queue or self.request_queue,
             handler,
-            reply_qm=self.reply_qm,
             trace=self.trace,
             injector=self.injector,
             selector=selector,

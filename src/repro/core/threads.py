@@ -58,7 +58,7 @@ def _thread_clerk(system: TPSystem, client_id: str, thread_id: int) -> Clerk:
         registrant,
         system.request_qm,
         system.request_queue,
-        system.reply_qm,
+        system.request_qm,
         system.ensure_reply_queue(registrant),
         trace=system.trace,
         injector=system.injector,

@@ -121,7 +121,6 @@ class ForkJoinCoordinator:
             self.system.request_qm,
             self.system.request_queue,
             handler,
-            reply_qm=self.system.reply_qm,
             trace=self.system.trace,
             injector=self.system.injector,
             final=False,
@@ -144,7 +143,6 @@ class ForkJoinCoordinator:
             self.system.request_qm,
             branch_queue,
             handler,
-            reply_qm=self.system.request_qm,  # join queue is local
             trace=None,  # branch replies are internal, not client replies
             injector=self.system.injector,
         )
@@ -200,7 +198,7 @@ class ForkJoinCoordinator:
                 branch_replies.append(Reply.from_body(element.body).body)
             reply_body = self.join(txn, request, branch_replies)
             reply = Reply(rid=rid, body=reply_body)
-            reply_queue = system.reply_repo.get_queue(request.reply_to)
+            reply_queue = system.request_repo.get_queue(request.reply_to)
             reply_queue.enqueue(
                 txn,
                 reply.to_body(),

@@ -36,6 +36,7 @@ from repro.errors import Busy, CommError, ReproError
 from repro.obs import Observability, get_observability
 from repro.queueing.manager import QueueHandle
 from repro.queueing.placement import ConsistentHashPlacement, PlacementPolicy
+from repro.queueing.sharded import route
 
 _DEFAULT_RECEIVE_TIMEOUT = 30.0
 
@@ -110,10 +111,10 @@ class Gateway:
     # -- shard routing ---------------------------------------------------
 
     def _shard_of(self, qname: str) -> int:
-        cached = self._locations.get(qname)
-        if cached is not None:
-            return cached
-        return self.placement.shard_for(qname, len(self.pools))
+        # The repositories' ordering over the locations ``hello`` taught
+        # this gateway; it creates no error queue, so it holds no pins.
+        return route(qname, self._locations.get(qname), {},
+                     self.placement, len(self.pools))
 
     async def _call(self, qname: str, payload: dict[str, Any],
                     timeout: float | None = None) -> Any:

@@ -202,38 +202,31 @@ class QueueManager:
                 and previous.last_eid is not None
             ):
                 return previous.last_eid
-        queue = self._queue(handle)
-        if txn is None and self.lane is not None:
-            return self._lane_enqueue(handle, body, tag, priority, headers)
-        with self._txn_scope(txn) as t:
-            eid = queue.enqueue(t, body, priority=priority, headers=headers)
-            element = queue_element_record(body, eid, priority, headers)
-            self.repo.registration.record_op(
-                t, handle.queue, handle.registrant, "enq", tag, eid, element
-            )
-        return eid
+        self._queue(handle)  # must exist, before any transaction begins
 
-    def _lane_enqueue(
-        self,
-        handle: QueueHandle,
-        body: Any,
-        tag: Any,
-        priority: int,
-        headers: dict[str, Any] | None,
-    ) -> int:
-        """Plan an auto-commit enqueue on the deterministic lane."""
-
-        def op(shard, t: Transaction) -> int:
-            eid = shard.get_queue(handle.queue).enqueue(
+        def op(repo, t: Transaction) -> int:
+            eid = repo.get_queue(handle.queue).enqueue(
                 t, body, priority=priority, headers=headers
             )
             element = queue_element_record(body, eid, priority, headers)
-            shard.registration.record_op(
+            repo.registration.record_op(
                 t, handle.queue, handle.registrant, "enq", tag, eid, element
             )
             return eid
 
-        return self.lane.submit(handle.queue, "enq", op)
+        return self._run(handle.queue, "enq", op, txn)
+
+    def _run(self, qname: str, kind: str, op: Callable, txn: Transaction | None,
+             plannable: bool = True) -> Any:
+        """Run ``op(repo, txn)`` — a queue operation plus its
+        registration record — in the caller's transaction, or as an
+        auto-commit one: planned on the deterministic lane (which hands
+        ``op`` the owning shard and its batch transaction) when there is
+        a lane and the operation is ``plannable``, else under 2PL."""
+        if txn is None and self.lane is not None and plannable:
+            return self.lane.submit(qname, kind, op)
+        with self._txn_scope(txn) as t:
+            return op(self.repo, t)
 
     def dequeue(
         self,
@@ -290,55 +283,17 @@ class QueueManager:
         selector: Callable[[Element], bool] | None = None,
     ) -> Element:
         self._check_registered(handle)
-        queue = self._queue(handle)
-        # Waiting dequeues must not be planned: an executor sleeping on
-        # a queue condition would stall every intent behind it, so only
-        # immediate polls (non-blocking, or a zero timeout) ride the
-        # deterministic lane.
-        waits = block and (timeout is None or timeout > 0)
-        if txn is None and self.lane is not None and not waits:
-            return self._lane_dequeue(
-                handle, tag, error_queue, block, timeout, selector
-            )
-        with self._txn_scope(txn) as t:
-            element = queue.dequeue(
+        self._queue(handle)  # must exist, before any transaction begins
+
+        def op(repo, t: Transaction) -> Element:
+            element = repo.get_queue(handle.queue).dequeue(
                 t,
                 selector=selector,
                 block=block,
                 timeout=timeout,
                 error_queue=error_queue,
             )
-            self.repo.registration.record_op(
-                t,
-                handle.queue,
-                handle.registrant,
-                "deq",
-                tag,
-                element.eid,
-                element.to_record(),
-            )
-        return element
-
-    def _lane_dequeue(
-        self,
-        handle: QueueHandle,
-        tag: Any,
-        error_queue: str | None,
-        block: bool,
-        timeout: float | None,
-        selector: Callable[[Element], bool] | None,
-    ) -> Element:
-        """Plan an auto-commit non-waiting dequeue on the lane."""
-
-        def op(shard, t: Transaction) -> Element:
-            element = shard.get_queue(handle.queue).dequeue(
-                t,
-                selector=selector,
-                block=block,
-                timeout=timeout,
-                error_queue=error_queue,
-            )
-            shard.registration.record_op(
+            repo.registration.record_op(
                 t,
                 handle.queue,
                 handle.registrant,
@@ -349,7 +304,12 @@ class QueueManager:
             )
             return element
 
-        return self.lane.submit(handle.queue, "deq", op)
+        # Waiting dequeues must not be planned: an executor sleeping on
+        # a queue condition would stall every intent behind it, so only
+        # immediate polls (non-blocking, or a zero timeout) ride the
+        # deterministic lane.
+        waits = block and (timeout is None or timeout > 0)
+        return self._run(handle.queue, "deq", op, txn, plannable=not waits)
 
     def read(self, handle: QueueHandle, eid: int) -> Element:
         """Figure 3: ``element = Read(h, e)``.

@@ -400,6 +400,9 @@ class QueueRepository:
     def queue_names(self) -> list[str]:
         return sorted(self.queues)
 
+    def depths(self) -> dict[str, int]:
+        return {name: queue.depth() for name, queue in self.queues.items()}
+
     # ------------------------------------------------------------------
     # Allocation / checkpointing
     # ------------------------------------------------------------------

@@ -43,24 +43,31 @@ transaction) therefore survive restarts for free.
 With ``N=1`` the facade is a pure passthrough: same repository name,
 same log layout, same plain :class:`TransactionManager` — behaviour-
 and byte-compatible with using :class:`QueueRepository` directly.
+
+**One router, two media.**  :class:`ShardRouter` (name → shard,
+error-queue co-location, the combined ``queues`` mapping, per-shard
+fan-out) is also the base of :class:`repro.serve.client.RemoteRepository`
+over shard processes, :func:`route` is the ordering the asyncio gateway
+applies to its own location table, and every shard boot, in-process or
+``repro-shardd``, mints its epoch with :func:`boot_epoch` and names its
+coordinator with :func:`coordinator_name`.
 """
 
 from __future__ import annotations
 
-import threading
-from collections.abc import Mapping
+import re
+from collections.abc import Collection, Mapping
+from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter as _perf_counter
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import NoSuchQueueError, QueueExistsError
 from repro.obs import Observability, get_observability
 from repro.queueing.placement import ConsistentHashPlacement, PlacementPolicy
-from repro.queueing.queue import RecoverableQueue
 from repro.queueing.repository import QueueRepository
 from repro.sim.crash import NULL_INJECTOR, FaultInjector
 from repro.storage.disk import Disk, MemDisk
 from repro.storage.groupcommit import GroupCommitConfig
-from repro.storage.kvstore import KVStore
 from repro.transaction.log import LogManager
 from repro.transaction.routing import RoutedTransaction, ShardedTransactionManager
 from repro.transaction.twophase import TwoPhaseCoordinator
@@ -69,6 +76,61 @@ from repro.transaction.twophase import TwoPhaseCoordinator
 #: shard's :class:`~repro.queueing.repository._EpochRM`, so checkpoints
 #: preserve the high-water mark across segment GC)
 EPOCH_RM = "_shards"
+
+_GID_SHARD_RE = re.compile(r"\.s(?P<shard>\d+)\.e\d+$")
+
+
+def shard_name(name: str, index: int, shard_count: int) -> str:
+    """The repository name of shard ``index``.  A lone shard keeps the
+    facade's own name, so its log and metric labels are
+    indistinguishable from an unsharded repository's."""
+    return name if shard_count == 1 else f"{name}.s{index}"
+
+
+def boot_epoch(shard: QueueRepository) -> int:
+    """Force this boot's coordinator-epoch record on ``shard``'s log
+    and return the epoch.
+
+    Global ids minted against this incarnation embed it
+    (:func:`coordinator_name`), so they can never collide with decision
+    records from before a crash.  The epoch tracker was rebuilt by
+    recovery (checkpoint image + replay); ``note()`` runs under the WAL
+    lock at append time, so a concurrent checkpoint either snapshots
+    the new epoch or replays its record — never loses it to segment GC.
+    """
+    epoch = shard.epochs.epoch + 1
+    shard.log.log_auto(
+        EPOCH_RM, {"epoch": epoch},
+        on_lsn=lambda _lsn: shard.epochs.note(epoch),
+    )
+    return epoch
+
+
+def coordinator_name(name: str, index: int, shard_count: int, epoch: int) -> str:
+    """The gid prefix of the coordinator on shard ``index`` booted at
+    ``epoch``: ``<name>.s<index>.e<epoch>`` (``<name>.e<epoch>`` for a
+    lone shard)."""
+    return f"{shard_name(name, index, shard_count)}.e{epoch}"
+
+
+def coordinator_shard(gid: str) -> int:
+    """The shard whose log holds (or, by presumed abort, lacks) the
+    decision for ``gid`` — read back from the prefix
+    :func:`coordinator_name` wrote."""
+    match = _GID_SHARD_RE.search(gid.split(":", 1)[0])
+    return int(match.group("shard")) if match else 0
+
+
+def route(name: str, located: int | None, pins: Mapping[str, int],
+          placement: PlacementPolicy, shard_count: int) -> int:
+    """The shard owning ``name``: where it actually lives if it exists,
+    else its co-location pin, else the placement policy."""
+    if located is not None:
+        return located
+    pinned = pins.get(name)
+    if pinned is not None:
+        return pinned
+    return placement.shard_for(name, shard_count)
 
 
 def shard_txn(txn: Any, shard: int) -> Any:
@@ -83,19 +145,19 @@ def shard_txn(txn: Any, shard: int) -> Any:
     return txn
 
 
-class ShardQueueView:
-    """A queue as seen through the facade: transactional operations
-    resolve the caller's routed transaction to this shard's branch;
-    everything else passes straight through to the real queue."""
+class _ShardView:
+    """An object of one shard as seen through the facade: the methods
+    in ``_TXN_METHODS`` resolve the caller's routed transaction to this
+    shard's branch; everything else passes straight through."""
 
-    _TXN_METHODS = frozenset({"enqueue", "dequeue"})
+    _TXN_METHODS: frozenset[str] = frozenset()
 
-    def __init__(self, queue: RecoverableQueue, shard: int):
-        self._queue = queue
+    def __init__(self, target: Any, shard: int):
+        self._target = target
         self.shard_index = shard
 
     def __getattr__(self, attr: str) -> Any:
-        target = getattr(self._queue, attr)
+        target = getattr(self._target, attr)
         if attr in self._TXN_METHODS:
             shard = self.shard_index
 
@@ -106,31 +168,24 @@ class ShardQueueView:
         return target
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ShardQueueView({self._queue.name!r}, shard={self.shard_index})"
+        return (f"{type(self).__name__}({self._target.name!r}, "
+                f"shard={self.shard_index})")
 
 
-class ShardTableView:
-    """A KV table view; same branch-resolution contract as
-    :class:`ShardQueueView` (``peek``/``size`` stay non-transactional)."""
+class ShardQueueView(_ShardView):
+    """A :class:`~repro.queueing.queue.RecoverableQueue` through the
+    facade."""
+
+    _TXN_METHODS = frozenset({"enqueue", "dequeue"})
+
+
+class ShardTableView(_ShardView):
+    """A :class:`~repro.storage.kvstore.KVStore` table through the
+    facade (``peek``/``size`` stay non-transactional)."""
 
     _TXN_METHODS = frozenset(
         {"get", "exists", "put", "delete", "update", "scan", "count"}
     )
-
-    def __init__(self, table: KVStore, shard: int):
-        self._table = table
-        self.shard_index = shard
-
-    def __getattr__(self, attr: str) -> Any:
-        target = getattr(self._table, attr)
-        if attr in self._TXN_METHODS:
-            shard = self.shard_index
-
-            def routed(txn: Any, *args: Any, **kwargs: Any) -> Any:
-                return target(shard_txn(txn, shard), *args, **kwargs)
-
-            return routed
-        return target
 
 
 class _RegistrationRouter:
@@ -142,92 +197,176 @@ class _RegistrationRouter:
     """
 
     rm_name = "qreg"
+    _TXN_METHODS = frozenset({"register", "deregister", "record_op"})
 
     def __init__(self, repo: "ShardedRepository"):
         self._repo = repo
 
-    def _target(self, queue: str) -> tuple[Any, int]:
-        shard = self._repo.shard_of(queue)
-        return self._repo.shards[shard].registration, shard
-
-    def register(self, txn: Any, queue: str, registrant: str, stable: bool):
-        table, shard = self._target(queue)
-        return table.register(shard_txn(txn, shard), queue, registrant, stable)
-
-    def deregister(self, txn: Any, queue: str, registrant: str) -> None:
-        table, shard = self._target(queue)
-        table.deregister(shard_txn(txn, shard), queue, registrant)
-
-    def record_op(
-        self,
-        txn: Any,
-        queue: str,
-        registrant: str,
-        op: str,
-        tag: Any,
-        eid: int,
-        element_record: dict[str, Any],
-    ) -> None:
-        table, shard = self._target(queue)
-        table.record_op(
-            shard_txn(txn, shard), queue, registrant, op, tag, eid, element_record
-        )
-
-    def lookup(self, queue: str, registrant: str):
-        return self._target(queue)[0].lookup(queue, registrant)
-
-    def is_registered(self, queue: str, registrant: str) -> bool:
-        return self._target(queue)[0].is_registered(queue, registrant)
-
-    def registrants(self, queue: str) -> list[str]:
-        return self._target(queue)[0].registrants(queue)
+    def __getattr__(self, attr: str) -> Any:
+        # Every RegistrationTable method names its queue first — after
+        # the transaction, for the ones that take one.
+        repo = self._repo
+        if attr in self._TXN_METHODS:
+            def routed(txn: Any, queue: str, *args: Any) -> Any:
+                shard = repo.shard_of(queue)
+                table = repo.shards[shard].registration
+                return getattr(table, attr)(shard_txn(txn, shard), queue, *args)
+        else:
+            def routed(queue: str, *args: Any) -> Any:
+                table = repo.shards[repo.shard_of(queue)].registration
+                return getattr(table, attr)(queue, *args)
+        return routed
 
 
-class _CombinedQueues(Mapping):
-    """Read-only name → queue-view mapping over every shard.
+class _Combined(Mapping):
+    """Read-only name → view mapping over every shard.
 
-    Queue names are unique across shards (creation goes through the
-    facade), so the union is well-defined.
+    Names are unique across shards (creation goes through the facade),
+    so the union is well-defined.
     """
 
-    def __init__(self, repo: "ShardedRepository"):
-        self._repo = repo
+    def __init__(
+        self,
+        names_by_shard: Callable[[], Iterator[Collection[str]]],
+        get: Callable[[str], Any],
+    ):
+        self._names_by_shard = names_by_shard
+        self._get = get
 
     def __getitem__(self, name: str) -> Any:
-        located = self._repo._locate_queue(name)
+        try:
+            return self._get(name)
+        except NoSuchQueueError:
+            raise KeyError(name) from None
+
+    def __iter__(self) -> Iterator[str]:
+        for names in self._names_by_shard():
+            yield from names
+
+    def __len__(self) -> int:
+        return sum(len(names) for names in self._names_by_shard())
+
+
+class ShardRouter:
+    """Name → shard routing and per-shard fan-out, for any medium.
+
+    The shared base of :class:`ShardedRepository` (shards are objects
+    in this process) and :class:`repro.serve.client.RemoteRepository`
+    (shards are processes behind a wire).  A *shard* here is anything
+    with ``queues`` (the names it holds), ``create_queue(qname,
+    **config)``, ``checkpoint()``, ``close()`` and ``depths()`` — a
+    :class:`~repro.queueing.repository.QueueRepository` or a
+    :class:`~repro.serve.client.ShardClient`; a subclass lists them in
+    ``self.shards`` and says what a queue on one looks like
+    (:meth:`_queue_view`).  Which shard a name goes to is decided here.
+    """
+
+    #: fan-out runs shard by shard when an injector is attached:
+    #: injected faults must fire in a deterministic order
+    injector: FaultInjector = NULL_INJECTOR
+
+    def __init__(self, name: str, shard_count: int,
+                 placement: PlacementPolicy | None):
+        self.name = name
+        self.shard_count = shard_count
+        self.placement = (
+            placement if placement is not None else ConsistentHashPlacement()
+        )
+        #: name -> shard co-location pins taken at creation time
+        #: (volatile; routing consults durable location first)
+        self._pins: dict[str, int] = {}
+        self.queues: Any = _Combined(
+            lambda: (shard.queues for shard in self.shards), self.get_queue
+        )
+
+    def _queue_view(self, qname: str, shard: int) -> Any:
+        raise NotImplementedError
+
+    # -- placement and location ---------------------------------------
+
+    def _locate_queue(self, qname: str) -> int | None:
+        for index, shard in enumerate(self.shards):
+            if qname in shard.queues:
+                return index
+        return None
+
+    def _locate_table(self, tname: str) -> int | None:
+        return None
+
+    def shard_of(self, name: str) -> int:
+        """The shard owning ``name`` (see :func:`route`)."""
+        located = self._locate_queue(name)
         if located is None:
-            raise KeyError(name)
-        return self._repo._queue_view(name, located)
+            located = self._locate_table(name)
+        return route(name, located, self._pins, self.placement, self.shard_count)
 
-    def __iter__(self) -> Iterator[str]:
-        for shard in self._repo.shards:
-            yield from shard.queues
+    def _require_queue_shard(self, qname: str) -> int:
+        located = self._locate_queue(qname)
+        if located is None:
+            raise NoSuchQueueError(f"no queue {qname!r} in {self.name!r}")
+        return located
 
-    def __len__(self) -> int:
-        return sum(len(shard.queues) for shard in self._repo.shards)
+    # -- data definition and lookup -----------------------------------
+
+    def create_queue(self, qname: str, **config: Any) -> Any:
+        if self._locate_queue(qname) is not None:
+            raise QueueExistsError(
+                f"queue {qname!r} already exists in {self.name!r}"
+            )
+        error_queue = config.get("error_queue")
+        shard: int | None = None
+        if error_queue is not None:
+            # Dead-letter moves happen inside one shard transaction, so
+            # a queue must share its error queue's shard.
+            shard = self._locate_queue(error_queue)
+        if shard is None:
+            shard = self.shard_of(qname)
+        self.shards[shard].create_queue(qname, **config)
+        if error_queue is not None:
+            self._pins[error_queue] = shard
+        return self._queue_view(qname, shard)
+
+    def get_queue(self, qname: str) -> Any:
+        return self._queue_view(qname, self._require_queue_shard(qname))
+
+    def queue_names(self) -> list[str]:
+        return sorted(self.queues)
+
+    # -- per-shard fan-out --------------------------------------------
+
+    def _fan_out(self, fn: Callable[[int], Any]) -> list[Any]:
+        """``[fn(0), fn(1), ...]`` — one thread per shard, since shards
+        share nothing; in order when there is one shard or an injector."""
+        if self.shard_count == 1 or self.injector is not NULL_INJECTOR:
+            return [fn(shard) for shard in range(self.shard_count)]
+        with ThreadPoolExecutor(self.shard_count) as pool:
+            # every shard finishes before the first failure is re-raised
+            return list(pool.map(fn, range(self.shard_count)))
+
+    def checkpoint(self) -> None:
+        """Fuzzy-checkpoint every shard.
+
+        No quiescence and no cross-shard barrier needed: each shard's
+        checkpoint is consistent with its own log, and that is the only
+        pair recovery ever reads together — cross-shard atomicity is
+        2PC's job (decision trackers are snapshotted per shard), not
+        the checkpoint's.  So shards checkpoint in parallel, like they
+        recover, except under fault injection where determinism demands
+        a fixed order.
+        """
+        self._fan_out(lambda index: self.shards[index].checkpoint())
+
+    def close(self) -> None:
+        """Stop every shard's background machinery (or the wire to it)."""
+        for shard in self.shards:
+            shard.close()
+
+    def depths_by_shard(self) -> dict[int, dict[str, int]]:
+        """Per-shard queue depths (monitoring/tests)."""
+        return {index: shard.depths() for index, shard in enumerate(self.shards)}
 
 
-class _CombinedTables(Mapping):
-    """Read-only name → table-view mapping over every shard."""
-
-    def __init__(self, repo: "ShardedRepository"):
-        self._repo = repo
-
-    def __getitem__(self, name: str) -> Any:
-        for index, shard in enumerate(self._repo.shards):
-            if name in shard.tables:
-                return ShardTableView(shard.tables[name], index)
-        raise KeyError(name)
-
-    def __iter__(self) -> Iterator[str]:
-        for shard in self._repo.shards:
-            yield from shard.tables
-
-    def __len__(self) -> int:
-        return sum(len(shard.tables) for shard in self._repo.shards)
-
-
-class ShardedRepository:
+class ShardedRepository(ShardRouter):
     """N independent queue repositories behind one repository surface.
 
     Exposes the :class:`QueueRepository` interface that the queue
@@ -250,18 +389,11 @@ class ShardedRepository:
         placement: PlacementPolicy | None = None,
         checkpoint_interval_bytes: int | None = None,
     ):
-        self.name = name
-        self.injector = injector if injector is not None else NULL_INJECTOR
-        self.obs = obs if obs is not None else get_observability()
-        self.placement = (
-            placement if placement is not None else ConsistentHashPlacement()
-        )
         if not disks:
             disks = [MemDisk()]
-        self.shard_count = len(disks)
-        #: name -> shard co-location pins taken at creation time
-        #: (volatile; routing consults durable location first)
-        self._pins: dict[str, int] = {}
+        super().__init__(name, len(disks), placement)
+        self.injector = injector if injector is not None else NULL_INJECTOR
+        self.obs = obs if obs is not None else get_observability()
         self._views: dict[str, ShardQueueView] = {}
         self.checkpoint_interval_bytes = checkpoint_interval_bytes
         # Wall time for the whole (possibly parallel) recovery pass.
@@ -269,8 +401,12 @@ class ShardedRepository:
         # "<name>.sN"}; this facade series is what shows the win of
         # recovering shards in parallel (wall << sum of per-shard).
         recovery_started = _perf_counter()
-        self.shards = self._recover_shards(
-            disks, group_commit, checkpoint_interval_bytes
+        self.shards: list[QueueRepository] = self._fan_out(
+            lambda index: QueueRepository(
+                shard_name(name, index, self.shard_count), disks[index],
+                self.injector, obs=self.obs, group_commit=group_commit,
+                checkpoint_interval_bytes=checkpoint_interval_bytes,
+            )
         )
         self.obs.metrics.histogram(
             "sharded_recovery_wall_seconds",
@@ -279,9 +415,12 @@ class ShardedRepository:
             ("node",),
         ).labels(node=name).observe(_perf_counter() - recovery_started)
 
+        self.coordinators: list[TwoPhaseCoordinator] = []
         if self.shard_count == 1:
             # Pure passthrough: same objects, same log layout, same
-            # metric labels as an unsharded QueueRepository.
+            # metric labels as an unsharded QueueRepository — the
+            # shard's own bound methods shadow the routed ones, so no
+            # view, router or extra call sits on this path.
             shard = self.shards[0]
             self.tm: Any = shard.tm
             self.log = shard.log
@@ -289,26 +428,21 @@ class ShardedRepository:
             self.disk = shard.disk
             self.eids = shard.eids
             self.registration: Any = shard.registration
-            self.queues: Any = shard.queues
+            self.queues = shard.queues
             self.tables: Any = shard.tables
-            self.coordinators: list[TwoPhaseCoordinator] = []
+            self.create_queue = shard.create_queue
+            self.destroy_queue = shard.destroy_queue
+            self.get_queue = shard.get_queue
+            self.create_table = shard.create_table
+            self.get_table = shard.get_table
         else:
-            self.coordinators = []
             for index, shard in enumerate(self.shards):
-                # The epoch tracker was rebuilt by recovery (checkpoint
-                # image + replay), so the log scan of old is redundant.
-                # note() runs under the WAL lock at append time: a
-                # concurrent checkpoint either snapshots the new epoch
-                # or replays its record — never loses it to segment GC.
-                epoch = shard.epochs.epoch + 1
-                shard.log.log_auto(
-                    EPOCH_RM, {"epoch": epoch},
-                    on_lsn=lambda _lsn, s=shard, e=epoch: s.epochs.note(e),
-                )
                 self.coordinators.append(
                     TwoPhaseCoordinator(
                         shard.log,
-                        name=f"{name}.s{index}.e{epoch}",
+                        name=coordinator_name(
+                            name, index, self.shard_count, boot_epoch(shard)
+                        ),
                         injector=self.injector,
                         tracker=shard.decisions,
                         obs=self.obs,
@@ -321,58 +455,15 @@ class ShardedRepository:
                 node=name,
             )
             self.registration = _RegistrationRouter(self)
-            self.queues = _CombinedQueues(self)
-            self.tables = _CombinedTables(self)
+            self.tables = _Combined(
+                lambda: (shard.tables for shard in self.shards), self.get_table
+            )
             self._resolve_in_doubt()
 
         self.recoveries = [shard.last_recovery for shard in self.shards]
         #: shard 0's report, for single-shard compatibility; sharded
         #: callers should read :attr:`recoveries`
         self.last_recovery = self.recoveries[0]
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-
-    def _recover_shards(
-        self, disks: list[Disk], group_commit: GroupCommitConfig | None,
-        checkpoint_interval_bytes: int | None,
-    ) -> list[QueueRepository]:
-        def build(index: int, disk: Disk) -> QueueRepository:
-            # N=1 keeps the facade's own name so logs and metric labels
-            # are indistinguishable from an unsharded repository.
-            shard_name = self.name if len(disks) == 1 else f"{self.name}.s{index}"
-            return QueueRepository(
-                shard_name, disk, self.injector, obs=self.obs,
-                group_commit=group_commit,
-                checkpoint_interval_bytes=checkpoint_interval_bytes,
-            )
-
-        if len(disks) == 1 or self.injector is not NULL_INJECTOR:
-            # Sequential: injected faults (and their on_crash hooks)
-            # must fire in a deterministic order.
-            return [build(i, disk) for i, disk in enumerate(disks)]
-
-        shards: list[QueueRepository | None] = [None] * len(disks)
-        errors: list[BaseException] = []
-
-        def worker(index: int, disk: Disk) -> None:
-            try:
-                shards[index] = build(index, disk)
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(i, disk), daemon=True)
-            for i, disk in enumerate(disks)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return [shard for shard in shards if shard is not None]
 
     def _resolve_in_doubt(self) -> None:
         """Settle prepared-but-undecided 2PC branches left by a crash.
@@ -396,33 +487,8 @@ class ShardedRepository:
                 branch.resolve(decision)
 
     # ------------------------------------------------------------------
-    # Placement and location
+    # Views and tables
     # ------------------------------------------------------------------
-
-    def _locate_queue(self, qname: str) -> int | None:
-        for index, shard in enumerate(self.shards):
-            if qname in shard.queues:
-                return index
-        return None
-
-    def _locate_table(self, tname: str) -> int | None:
-        for index, shard in enumerate(self.shards):
-            if tname in shard.tables:
-                return index
-        return None
-
-    def shard_of(self, name: str) -> int:
-        """The shard owning ``name``: where it actually lives if it
-        exists, else its co-location pin, else the placement policy."""
-        located = self._locate_queue(name)
-        if located is None:
-            located = self._locate_table(name)
-        if located is not None:
-            return located
-        pinned = self._pins.get(name)
-        if pinned is not None:
-            return pinned
-        return self.placement.shard_for(name, self.shard_count)
 
     def _queue_view(self, qname: str, shard: int) -> ShardQueueView:
         view = self._views.get(qname)
@@ -431,38 +497,21 @@ class ShardedRepository:
             self._views[qname] = view
         return view
 
-    # ------------------------------------------------------------------
-    # Data definition
-    # ------------------------------------------------------------------
+    def _locate_table(self, tname: str) -> int | None:
+        for index, shard in enumerate(self.shards):
+            if tname in shard.tables:
+                return index
+        return None
 
-    def create_queue(self, qname: str, **config: Any) -> Any:
-        if self.shard_count == 1:
-            return self.shards[0].create_queue(qname, **config)
-        if self._locate_queue(qname) is not None:
-            raise QueueExistsError(
-                f"queue {qname!r} already exists in {self.name!r}"
-            )
-        error_queue = config.get("error_queue")
-        shard: int | None = None
-        if error_queue is not None:
-            # Dead-letter moves happen inside one shard transaction, so
-            # a queue must share its error queue's shard.
-            shard = self._locate_queue(error_queue)
-        if shard is None:
-            shard = self.shard_of(qname)
-        self.shards[shard].create_queue(qname, **config)
-        if error_queue is not None:
-            self._pins[error_queue] = shard
-        return self._queue_view(qname, shard)
+    def _table_view(self, tname: str, shard: int) -> ShardTableView:
+        return ShardTableView(self.shards[shard].tables[tname], shard)
+
+    # ------------------------------------------------------------------
+    # Data definition and lookup beyond the router's
+    # ------------------------------------------------------------------
 
     def destroy_queue(self, qname: str) -> None:
-        if self.shard_count == 1:
-            self.shards[0].destroy_queue(qname)
-            return
-        located = self._locate_queue(qname)
-        if located is None:
-            raise NoSuchQueueError(f"no queue {qname!r} in {self.name!r}")
-        self.shards[located].destroy_queue(qname)
+        self.shards[self._require_queue_shard(qname)].destroy_queue(qname)
         self._views.pop(qname, None)
 
     def stop_queue(self, qname: str) -> None:
@@ -472,39 +521,17 @@ class ShardedRepository:
         self.shards[self._require_queue_shard(qname)].start_queue(qname)
 
     def create_table(self, tname: str) -> Any:
-        if self.shard_count == 1:
-            return self.shards[0].create_table(tname)
         located = self._locate_table(tname)
         if located is None:
             located = self.shard_of(tname)
-        table = self.shards[located].create_table(tname)
-        return ShardTableView(table, located)
-
-    def _require_queue_shard(self, qname: str) -> int:
-        located = self._locate_queue(qname)
-        if located is None:
-            raise NoSuchQueueError(f"no queue {qname!r} in {self.name!r}")
-        return located
-
-    # ------------------------------------------------------------------
-    # Lookup
-    # ------------------------------------------------------------------
-
-    def get_queue(self, qname: str) -> Any:
-        if self.shard_count == 1:
-            return self.shards[0].get_queue(qname)
-        return self._queue_view(qname, self._require_queue_shard(qname))
+        self.shards[located].create_table(tname)
+        return self._table_view(tname, located)
 
     def get_table(self, tname: str) -> Any:
-        if self.shard_count == 1:
-            return self.shards[0].get_table(tname)
         located = self._locate_table(tname)
         if located is None:
             raise NoSuchQueueError(f"no table {tname!r} in {self.name!r}")
-        return ShardTableView(self.shards[located].tables[tname], located)
-
-    def queue_names(self) -> list[str]:
-        return sorted(self.queues)
+        return self._table_view(tname, located)
 
     def alloc_eid(self) -> int:
         """Facade-level allocation draws from shard 0; shard-local
@@ -527,52 +554,6 @@ class ShardedRepository:
     @property
     def wal_panicked(self) -> bool:
         return any(shard.log.wal.panicked for shard in self.shards)
-
-    def checkpoint(self) -> None:
-        """Fuzzy-checkpoint every shard.
-
-        No quiescence and no cross-shard barrier needed: each shard's
-        checkpoint is consistent with its own log, and that is the only
-        pair recovery ever reads together — cross-shard atomicity is
-        2PC's job (decision trackers are snapshotted per shard), not
-        the checkpoint's.  So shards checkpoint in parallel, like they
-        recover, except under fault injection where determinism demands
-        a fixed order.
-        """
-        if self.shard_count == 1 or self.injector is not NULL_INJECTOR:
-            for shard in self.shards:
-                shard.checkpoint()
-            return
-        errors: list[BaseException] = []
-
-        def worker(shard: QueueRepository) -> None:
-            try:
-                shard.checkpoint()
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(shard,), daemon=True)
-            for shard in self.shards
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-
-    def close(self) -> None:
-        """Stop every shard's background machinery."""
-        for shard in self.shards:
-            shard.close()
-
-    def depths_by_shard(self) -> dict[int, dict[str, int]]:
-        """Per-shard queue depths (monitoring/tests)."""
-        return {
-            index: {name: q.depth() for name, q in shard.queues.items()}
-            for index, shard in enumerate(self.shards)
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ShardedRepository({self.name!r}, shards={self.shard_count})"

@@ -8,9 +8,11 @@ how to pick a commit protocol from the branch set (0 branches → no-op,
 first-touched shard coordinating).  Here they run unchanged — their
 ``shard_tm(i)`` just returns a :class:`RemoteShardTM` whose branches
 live in another OS process, and their per-shard coordinator is a
-:class:`RemoteTwoPhaseCoordinator` that forces the decision record on
-the coordinator *shard's* log over the wire.  The queue-manager stub
-is reused too: :class:`RemoteShardedQueueManager` only overrides the
+:class:`RemoteTwoPhaseCoordinator` — the in-process protocol with the
+decision record forced on the coordinator *shard's* log over the wire.
+Name → shard routing is :class:`~repro.queueing.sharded.ShardRouter`'s,
+shared with the in-process facade.  The queue-manager stub is reused
+too: :class:`RemoteShardedQueueManager` only overrides the
 two routing hooks of :class:`repro.comm.remote.RemoteQueueManager`,
 where the operation bodies and wire payloads live.
 
@@ -46,7 +48,7 @@ Failure mapping (the same taxonomy in-proc callers see):
   never lost (ROADMAP item 5(ii) is the lease that would reclaim it
   sooner);
 * a coordinator crash between decision and phase 2 leaves branches
-  prepared on live shards; :meth:`RemoteTwoPhaseCoordinator.commit`
+  prepared on live shards; :meth:`RemoteTwoPhaseCoordinator._decide`
   polls the restarted coordinator for the durable decision (presumed
   abort if none survived) and finishes phase 2, raising
   :class:`TwoPhaseInDoubtError` only if the coordinator stays
@@ -58,8 +60,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections.abc import Mapping
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.comm.remote import RemoteQueueManager, op_create_queue, op_depth
 from repro.comm.transport import TcpTransport, Transport
@@ -67,19 +68,18 @@ from repro.comm.wire import unwrap
 from repro.errors import (
     CommError,
     InvalidTransactionState,
-    NoSuchQueueError,
-    QueueExistsError,
     ReproError,
     StorageError,
     TransactionAborted,
-    TwoPhaseCommitError,
     TwoPhaseInDoubtError,
 )
-from repro.obs import Observability
-from repro.queueing.placement import ConsistentHashPlacement, PlacementPolicy
+from repro.obs import NULL_OBS, Observability
+from repro.queueing.placement import PlacementPolicy
 from repro.queueing.queue import DequeueMode
+from repro.queueing.sharded import ShardRouter, coordinator_name
 from repro.transaction.ids import TxnStatus
 from repro.transaction.routing import RoutedTransaction, ShardedTransactionManager
+from repro.transaction.twophase import TwoPhaseCoordinator
 
 
 class ShardClient:
@@ -129,19 +129,42 @@ class ShardClient:
 
     def call(self, payload: dict[str, Any], timeout: float | None = None,
              retries: int | None = None) -> Any:
-        if self._m_latency is None:
-            return unwrap(
-                self.transport.request(
-                    payload, timeout=timeout, retries=retries)
-            )
-        started = time.perf_counter()
+        observed = self._m_latency is not None
+        started = time.perf_counter() if observed else 0.0
         try:
             return unwrap(
                 self.transport.request(
                     payload, timeout=timeout, retries=retries)
             )
         finally:
-            self._observe(time.perf_counter() - started)
+            if observed:
+                self._observe(time.perf_counter() - started)
+
+    # -- the shard surface ShardRouter drives ------------------------------
+
+    @property
+    def queues(self) -> list[str]:
+        """Names of the queues this shard holds (none while it is down)."""
+        try:
+            return self.call({"op": "queue_names"})
+        except CommError:
+            return []
+
+    def create_queue(self, qname: str, **config: Any) -> None:
+        wire: dict[str, Any] = {}
+        for key, value in config.items():
+            if isinstance(value, DequeueMode):
+                value = value.value
+            elif isinstance(value, tuple):
+                value = list(value)
+            wire[key] = value
+        self.call(op_create_queue(qname, wire))
+
+    def depths(self) -> dict[str, int]:
+        return self.call({"op": "depths"})
+
+    def checkpoint(self) -> None:
+        self.call({"op": "checkpoint"})
 
     def close(self) -> None:
         self.transport.close()
@@ -197,16 +220,17 @@ class RemoteShardTM:
         """Send one outcome call — unless ``txn`` never opened, when the
         shard has nothing to apply it to."""
         if txn.id is not None:
-            self.client.call({"op": op, "txn": txn.id, **fields}, retries=0)
+            try:
+                self.client.call({"op": op, "txn": txn.id, **fields}, retries=0)
+            except TransactionAborted:
+                # only a branch the shard no longer knows answers this
+                txn.status = TxnStatus.ABORTED
+                raise
 
     def commit(self, txn: RemoteBranch) -> None:
         if txn.status is TxnStatus.COMMITTED:
             return  # its final enqueue carried the commit
-        try:
-            self._outcome(txn, "txn_commit")
-        except TransactionAborted:
-            txn.status = TxnStatus.ABORTED
-            raise
+        self._outcome(txn, "txn_commit")
         txn.status = TxnStatus.COMMITTED
 
     def abort(self, txn: RemoteBranch, reason: str = "application abort") -> None:
@@ -234,11 +258,7 @@ class RemoteShardTM:
     # -- two-phase branch operations ------------------------------------
 
     def prepare(self, txn: RemoteBranch, global_id: str) -> None:
-        try:
-            self._outcome(txn, "txn_prepare", gid=global_id)
-        except TransactionAborted:
-            txn.status = TxnStatus.ABORTED
-            raise
+        self._outcome(txn, "txn_prepare", gid=global_id)
         txn.status = TxnStatus.PREPARED
         txn.gid = global_id
 
@@ -250,32 +270,24 @@ class RemoteShardTM:
         self._outcome(txn, "txn_abort_prepared", gid=txn.gid)
         txn.status = TxnStatus.ABORTED
 
-    # -- counters (benchmark parity) ------------------------------------
 
-    def _stats(self) -> dict[str, int]:
-        try:
-            return self.client.call({"op": "txn_stats"})
-        except CommError:
-            return {"commits": 0, "aborts": 0}
+class RemoteTwoPhaseCoordinator(TwoPhaseCoordinator):
+    """:class:`~repro.transaction.twophase.TwoPhaseCoordinator` whose
+    decision record lives on a remote shard's log (the shard this
+    coordinator is bound to).
 
-    @property
-    def commits(self) -> int:
-        return self._stats()["commits"]
-
-    @property
-    def aborts(self) -> int:
-        return self._stats()["aborts"]
-
-
-class RemoteTwoPhaseCoordinator:
-    """Presumed-abort two-phase commit whose decision record lives on a
-    remote shard's log (the shard this coordinator is bound to).
-
-    Mirrors :class:`~repro.transaction.twophase.TwoPhaseCoordinator`
-    step for step; the decision force becomes an idempotent
+    The protocol is the inherited :meth:`commit`; a wire changes three
+    of its steps.  The decision force becomes an idempotent
     ``txn_decide`` call (duplicate decides for the same gid are
-    absorbed server-side), so it may ride the at-least-once retry
-    discipline that a real network needs.
+    absorbed server-side), so it may ride the at-least-once retries a
+    real network needs — and when its outcome is *unknown*, the
+    restarted coordinator shard is polled.  A branch told to abort may
+    be on a shard that is down, and phase 2 keeps trying across a
+    shard's recovery window.
+
+    ``name`` must be unique per driver process as well as per shard
+    boot (:class:`RemoteRepository` appends ``:p<pid>``): several
+    drivers coordinate against the same shard incarnation.
     """
 
     #: phase-2 attempts per branch; between attempts the shard may be
@@ -286,65 +298,27 @@ class RemoteTwoPhaseCoordinator:
 
     def __init__(self, client: ShardClient, name: str):
         self.client = client
-        self.name = name
-        self._seq = 0
-        self._mutex = threading.Lock()
+        self._protocol_state(name, None, NULL_OBS, area=name)
 
-    def new_global_id(self) -> str:
-        with self._mutex:
-            self._seq += 1
-            return f"{self.name}:p{os.getpid()}:{self._seq}"
-
-    # -- protocol --------------------------------------------------------
-
-    def commit(
-        self, branches: list[tuple[RemoteShardTM, RemoteBranch]]
-    ) -> str:
-        if not branches:
-            raise TwoPhaseCommitError("no branches to commit")
-        gid = self.new_global_id()
-
-        prepared: list[tuple[RemoteShardTM, RemoteBranch]] = []
-        veto = False
-        for tm, txn in branches:
-            try:
-                tm.prepare(txn, gid)
-                prepared.append((tm, txn))
-            except ReproError:
-                veto = True
-                break
-
-        if veto:
-            try:
-                self._decide(gid, "abort")  # advisory under presumed abort
-            except ReproError:
-                pass
-            self._abort_branches(branches)
-            return "abort"
-
+    def _decide(self, gid: str, decision: str) -> str:
         try:
-            self._decide(gid, "commit")
+            self.client.call(
+                {"op": "txn_decide", "gid": gid, "decision": decision}
+            )
         except CommError:
+            if decision != "commit":
+                return "abort"  # advisory under presumed abort
             # The coordinator shard went down with the decision's
             # durability unknown.  Ask its restarted incarnation: the
             # recovered decision tracker is authoritative (presumed
             # abort if the force never reached the disk).
-            decision = self._await_decision(gid)
-            if decision != "commit":
-                self._abort_branches(prepared)
-                return "abort"
+            return self._await_decision(gid)
         except StorageError:
-            # Clean force failure: the decision is not durable, so by
-            # presumed abort the global decision IS abort.
-            self._abort_branches(prepared)
+            # The shard answered that the force failed: the decision is
+            # not durable, so by presumed abort it IS abort — whatever
+            # the failure means for that shard, this process lives on.
             return "abort"
-
-        for tm, txn in prepared:
-            self._commit_branch(tm, txn)
-        return "commit"
-
-    def _decide(self, gid: str, decision: str) -> None:
-        self.client.call({"op": "txn_decide", "gid": gid, "decision": decision})
+        return decision
 
     def _await_decision(self, gid: str) -> str:
         deadline = time.monotonic() + self._DECISION_WAIT
@@ -363,12 +337,9 @@ class RemoteTwoPhaseCoordinator:
     def _abort_branches(
         self, branches: list[tuple[RemoteShardTM, RemoteBranch]]
     ) -> None:
-        for tm, txn in branches:
+        for branch in branches:
             try:
-                if txn.status is TxnStatus.PREPARED:
-                    tm.abort_prepared(txn)
-                elif txn.status is TxnStatus.ACTIVE:
-                    tm.abort(txn, "2pc veto")
+                super()._abort_branches([branch])
             except ReproError:
                 # Shard down: restart recovery + the supervisor's
                 # in-doubt pass settle it (presumed abort).
@@ -407,46 +378,18 @@ class _RemoteQueue:
         return self._client.call(op_depth(self.name))
 
 
-class _RemoteQueues(Mapping):
-    """Name → queue-stub mapping over every shard (union of names)."""
-
-    def __init__(self, repo: "RemoteRepository"):
-        self._repo = repo
-
-    def __getitem__(self, name: str) -> _RemoteQueue:
-        shard = self._repo._locate_queue(name)
-        if shard is None:
-            raise KeyError(name)
-        return _RemoteQueue(self._repo.clients[shard], name)
-
-    def __contains__(self, name: object) -> bool:
-        return (
-            isinstance(name, str)
-            and self._repo._locate_queue(name) is not None
-        )
-
-    def __iter__(self) -> Iterator[str]:
-        seen: set[str] = set()
-        for names in self._repo._names_by_shard():
-            for name in names:
-                if name not in seen:
-                    seen.add(name)
-                    yield name
-
-    def __len__(self) -> int:
-        return sum(1 for _ in iter(self))
-
-
-class RemoteRepository:
+class RemoteRepository(ShardRouter):
     """The repository surface (``tm``, ``queues``, ``create_queue``...)
     over shard processes — what a :class:`~repro.core.server.Server`
     or :class:`~repro.core.clerk.Clerk` sees as ``qm.repo`` in the TCP
     deployment.
 
-    Placement is client-side and mirrors the in-process facade exactly
-    (:class:`~repro.queueing.placement.ConsistentHashPlacement` hashes
-    are process-stable): location-first routing, then co-location pins,
-    then the policy.
+    Routing *is* the in-process facade's
+    (:class:`~repro.queueing.sharded.ShardRouter`; placement hashes are
+    process-stable): location first, then co-location pins, then the
+    policy.  Its shards are the :class:`ShardClient` stubs; what this
+    class adds is a location cache in front of their ``queue_names``
+    calls and :class:`_RemoteQueue` as the view of a queue.
     """
 
     def __init__(
@@ -458,13 +401,8 @@ class RemoteRepository:
         seed: int = 0,
         max_retries: int = 10,
     ):
-        self.name = name
-        self.placement = (
-            placement if placement is not None else ConsistentHashPlacement()
-        )
-        self.shard_count = len(endpoints)
-        self.endpoints = list(endpoints)
-        self.clients = [
+        super().__init__(name, len(endpoints), placement)
+        self.clients = self.shards = [
             ShardClient(
                 TcpTransport(host, port, seed=seed + i,
                              max_retries=max_retries),
@@ -475,18 +413,16 @@ class RemoteRepository:
         #: queue name -> shard location cache (volatile; re-validated
         #: against the shards on miss)
         self._locations: dict[str, int] = {}
-        self._pins: dict[str, int] = {}
         self.epochs = [
             client.call({"op": "hello"})["epoch"] for client in self.clients
         ]
-        coordinator_names = [
-            (f"{name}.s{i}.e{self.epochs[i]}" if self.shard_count > 1
-             else f"{name}.e{self.epochs[i]}")
-            for i in range(self.shard_count)
-        ]
         self.coordinators = [
-            RemoteTwoPhaseCoordinator(client, cname)
-            for client, cname in zip(self.clients, coordinator_names)
+            RemoteTwoPhaseCoordinator(
+                client,
+                coordinator_name(name, i, self.shard_count, self.epochs[i])
+                + f":p{os.getpid()}",
+            )
+            for i, client in enumerate(self.clients)
         ]
         self.tm = ShardedTransactionManager(
             [RemoteShardTM(client, i) for i, client in enumerate(self.clients)],
@@ -494,70 +430,17 @@ class RemoteRepository:
             obs=obs,
             node=name,
         )
-        self.queues = _RemoteQueues(self)
-
-    # -- location --------------------------------------------------------
-
-    def _names_by_shard(self) -> list[list[str]]:
-        out = []
-        for client in self.clients:
-            try:
-                out.append(client.call({"op": "queue_names"}))
-            except CommError:
-                out.append([])  # shard down: treat as empty for iteration
-        return out
 
     def _locate_queue(self, qname: str) -> int | None:
-        cached = self._locations.get(qname)
-        if cached is not None:
-            return cached
-        for index, names in enumerate(self._names_by_shard()):
-            if qname in names:
-                self._locations[qname] = index
-                return index
-        return None
+        located = self._locations.get(qname)
+        if located is None:
+            located = super()._locate_queue(qname)
+            if located is not None:
+                self._locations[qname] = located
+        return located
 
-    def shard_of(self, name: str) -> int:
-        located = self._locate_queue(name)
-        if located is not None:
-            return located
-        pinned = self._pins.get(name)
-        if pinned is not None:
-            return pinned
-        return self.placement.shard_for(name, self.shard_count)
-
-    # -- data definition -------------------------------------------------
-
-    @staticmethod
-    def _wire_config(config: dict[str, Any]) -> dict[str, Any]:
-        wire: dict[str, Any] = {}
-        for key, value in config.items():
-            if isinstance(value, DequeueMode):
-                value = value.value
-            elif isinstance(value, tuple):
-                value = list(value)
-            wire[key] = value
-        return wire
-
-    def create_queue(self, qname: str, **config: Any) -> _RemoteQueue:
-        if self._locate_queue(qname) is not None:
-            raise QueueExistsError(
-                f"queue {qname!r} already exists in {self.name!r}"
-            )
-        error_queue = config.get("error_queue")
-        shard: int | None = None
-        if error_queue is not None:
-            # Dead-letter moves happen inside one shard transaction, so
-            # a queue must share its error queue's shard.
-            shard = self._locate_queue(error_queue)
-        if shard is None:
-            shard = self.shard_of(qname)
-        self.clients[shard].call(
-            op_create_queue(qname, self._wire_config(config))
-        )
-        self._locations[qname] = shard
-        if error_queue is not None:
-            self._pins[error_queue] = shard
+    def _queue_view(self, qname: str, shard: int) -> _RemoteQueue:
+        self._locations[qname] = shard  # seen there: created or located
         return _RemoteQueue(self.clients[shard], qname)
 
     def create_table(self, tname: str) -> Any:
@@ -566,33 +449,6 @@ class RemoteRepository:
             "handlers must keep request state in queue payloads "
             "(Section 9's scratch pad) or run in-process"
         )
-
-    # -- lookup ----------------------------------------------------------
-
-    def get_queue(self, qname: str) -> _RemoteQueue:
-        shard = self._locate_queue(qname)
-        if shard is None:
-            raise NoSuchQueueError(f"no queue {qname!r} in {self.name!r}")
-        return _RemoteQueue(self.clients[shard], qname)
-
-    def queue_names(self) -> list[str]:
-        return sorted(self.queues)
-
-    def depths_by_shard(self) -> dict[int, dict[str, int]]:
-        return {
-            index: client.call({"op": "depths"})
-            for index, client in enumerate(self.clients)
-        }
-
-    # -- lifecycle -------------------------------------------------------
-
-    def checkpoint(self) -> None:
-        for client in self.clients:
-            client.call({"op": "checkpoint"})
-
-    def close(self) -> None:
-        for client in self.clients:
-            client.close()
 
 
 # ---------------------------------------------------------------------------

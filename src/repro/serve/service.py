@@ -20,9 +20,9 @@ A :class:`ShardService` extends the clerk-facing
   client-side coordinator of :mod:`repro.serve.client`;
 * the coordinator's durable side: ``txn_decide`` force-logs the global
   decision on *this* shard's log and ``txn_decision`` answers
-  presumed-abort lookups — both are the decision-log half of one
-  :class:`~repro.transaction.twophase.TwoPhaseCoordinator` held over
-  the shard's log and decision tracker — and
+  presumed-abort lookups — both are methods of the
+  :class:`~repro.transaction.twophase.DecisionLog` held over the
+  shard's log and decision tracker — and
   ``in_doubt``/``txn_resolve`` let the supervisor settle prepared
   branches left by a crash;
 * data definition and introspection (``create_queue``, ``queue_names``,
@@ -49,7 +49,7 @@ from repro.queueing.queue import DequeueMode
 from repro.queueing.repository import QueueRepository
 from repro.transaction.ids import TxnStatus
 from repro.transaction.manager import Transaction
-from repro.transaction.twophase import TwoPhaseCoordinator
+from repro.transaction.twophase import DecisionLog
 
 #: remembered outcomes of finished branches, for duplicate outcome calls
 _OUTCOME_CACHE = 1024
@@ -67,9 +67,9 @@ class ShardService(QueueManagerService):
         self.txns: dict[int, Transaction] = {}
         #: recently finished branch ids -> "commit" | "abort"
         self._outcomes: dict[int, str] = {}
-        #: the decision log of this shard: driver-side coordinators
-        #: run the protocol, this one only forces and answers decisions
-        self.coordinator = TwoPhaseCoordinator(
+        #: driver-side coordinators run the protocol; the shard only
+        #: forces and answers their decisions
+        self.decision_log = DecisionLog(
             repo.log, name=repo.name, tracker=repo.decisions
         )
 
@@ -150,15 +150,10 @@ class ShardService(QueueManagerService):
         return self.repo.queue_names()
 
     def _op_depths(self, payload: dict[str, Any]) -> dict[str, int]:
-        return {
-            name: queue.depth() for name, queue in self.repo.queues.items()
-        }
+        return self.repo.depths()
 
     def _op_checkpoint(self, payload: dict[str, Any]) -> None:
         self.repo.checkpoint()
-
-    def _op_txn_stats(self, payload: dict[str, Any]) -> dict[str, int]:
-        return {"commits": self.repo.tm.commits, "aborts": self.repo.tm.aborts}
 
     # -- transaction lifecycle ------------------------------------------
 
@@ -167,14 +162,9 @@ class ShardService(QueueManagerService):
 
     def _op_txn_commit(self, payload: dict[str, Any]) -> None:
         branch_id = payload["txn"]
-        txn = self.txns.get(branch_id)
-        if txn is None:
-            if self._outcomes.get(branch_id) == "commit":
-                return  # duplicate of a commit that succeeded
-            raise TransactionAborted(
-                branch_id, "unknown branch (shard restarted; presumed abort)"
-            )
-        self._commit(txn)
+        if branch_id not in self.txns and self._outcomes.get(branch_id) == "commit":
+            return  # duplicate of a commit that succeeded
+        self._commit(self._resolve_txn(payload))
 
     def _op_txn_abort(self, payload: dict[str, Any]) -> None:
         branch_id = payload["txn"]
@@ -183,6 +173,10 @@ class ShardService(QueueManagerService):
             return  # already finished or lost to a restart: aborted either way
         if txn.status is TxnStatus.ACTIVE:
             self.repo.tm.abort(txn, payload.get("reason", "remote abort"))
+        elif txn.status is TxnStatus.PREPARED:
+            # Only a coordinator's veto path sends this for a branch
+            # whose prepare reply it lost; its global decision is abort.
+            self.repo.tm.abort_prepared(txn)
         self._finish(branch_id, "abort")
 
     def _op_txn_abort_by_id(self, payload: dict[str, Any]) -> bool:
@@ -239,10 +233,10 @@ class ShardService(QueueManagerService):
         # retried decide): decision records are write-once per gid.
         if self.repo.decisions.get(gid) == decision:
             return
-        self.coordinator.log_decision(gid, decision)
+        self.decision_log.log_decision(gid, decision)
 
     def _op_txn_decision(self, payload: dict[str, Any]) -> str:
-        return self.coordinator.decision(payload["gid"])
+        return self.decision_log.decision(payload["gid"])
 
     # -- restart resolution (driven by the supervisor) ------------------
 

@@ -33,7 +33,7 @@ import sys
 from repro.comm.transport import TcpListener
 from repro.queueing.manager import QueueManager
 from repro.queueing.repository import QueueRepository
-from repro.queueing.sharded import EPOCH_RM
+from repro.queueing.sharded import boot_epoch, shard_name
 from repro.serve.service import ShardService
 from repro.storage.disk import FileDisk
 from repro.transaction.cc import CC_POLICIES
@@ -95,18 +95,10 @@ def serve(args: argparse.Namespace) -> TcpListener:
     """Recover the shard, start serving, print the READY handshake.
     Split from :func:`main` so tests can drive a shard in process."""
     os.makedirs(args.dir, exist_ok=True)
-    shard_name = (
-        args.name if args.shards == 1 else f"{args.name}.s{args.shard}"
-    )
-    repo = QueueRepository(shard_name, FileDisk(args.dir))
-    # Durable coordinator epoch, exactly as the in-process sharded
-    # facade mints one per boot: global ids of this incarnation embed
-    # it, so they can never collide with pre-crash decision records.
-    epoch = repo.epochs.epoch + 1
-    repo.log.log_auto(
-        EPOCH_RM, {"epoch": epoch},
-        on_lsn=lambda _lsn: repo.epochs.note(epoch),
-    )
+    name = shard_name(args.name, args.shard, args.shards)
+    repo = QueueRepository(name, FileDisk(args.dir))
+    # The same boot the in-process sharded facade gives each shard.
+    epoch = boot_epoch(repo)
     lane = DeterministicLane(repo) if args.cc != "2pl" else None
     qm = QueueManager(repo, cc=args.cc, lane=lane)
     service = ShardService(repo, epoch=epoch, qm=qm)
@@ -115,7 +107,7 @@ def serve(args: argparse.Namespace) -> TcpListener:
         max_inflight=args.max_inflight,
     )
     print(
-        f"READY name={shard_name} port={listener.port} "
+        f"READY name={name} port={listener.port} "
         f"epoch={epoch} pid={os.getpid()}",
         flush=True,
     )

@@ -33,6 +33,7 @@ from typing import Callable
 
 from repro.comm.transport import TcpTransport
 from repro.errors import CommError, ReproError
+from repro.queueing.sharded import coordinator_shard
 from repro.serve.client import ShardClient
 from repro.transaction.cc import check_cc_policy
 
@@ -43,8 +44,6 @@ _READY_RE = re.compile(
     r"^READY name=(?P<name>\S+) port=(?P<port>\d+) "
     r"epoch=(?P<epoch>\d+) pid=(?P<pid>\d+)$"
 )
-#: coordinator shard index embedded in a global id's prefix
-_GID_SHARD_RE = re.compile(r"\.s(?P<shard>\d+)\.e\d+$")
 
 
 @dataclass
@@ -207,13 +206,7 @@ class ShardSupervisor:
     def _client(self, index: int) -> ShardClient:
         return ShardClient(TcpTransport(self.host, self.shards[index].port))
 
-    def coordinator_shard(self, gid: str) -> int:
-        """The shard whose log holds (or presumed-abort lacks) the
-        decision for ``gid`` — encoded in the id's coordinator prefix
-        (``<name>.s<k>.e<epoch>:...``)."""
-        prefix = gid.split(":", 1)[0]
-        match = _GID_SHARD_RE.search(prefix)
-        return int(match.group("shard")) if match else 0
+    coordinator_shard = staticmethod(coordinator_shard)
 
     def resolve_in_doubt(self, index: int) -> int:
         """Settle the in-doubt branches of shard ``index``.

@@ -1,54 +1,64 @@
-"""RPC / one-way transport tests (Section 5's Send variants)."""
+"""RPC / one-way transport tests (Section 5's Send variants): the
+correlation, retry and backoff engine of :class:`CorrelatedChannel`
+over the simulated network, where loss and duplication are seeded."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.comm.network import SimNetwork
-from repro.comm.rpc import OneWayTransport, RpcChannel, RpcServer
+from repro.comm import transport as transport_module
+from repro.comm.transport import InProcListener, InProcTransport, OneWayTransport
 from repro.errors import RpcTimeout
+
+
+def echo_server(net: SimNetwork, name: str = "server") -> InProcListener:
+    return InProcListener(net, name, lambda payload: payload)
+
+
+def run_posted(net: SimNetwork, name: str) -> InProcListener:
+    """The queue manager's node for one-way Sends: runs what arrives."""
+    return InProcListener(net, name, lambda deliver: deliver())
 
 
 class TestRpcChannel:
     def test_call_round_trip(self):
         net = SimNetwork()
-        RpcServer(net, "server")
-        channel = RpcChannel(net, "client", "server")
-        assert channel.call(lambda: 40 + 2) == 42
+        InProcListener(net, "server", lambda payload: payload["a"] + payload["b"])
+        channel = InProcTransport(net, "client", "server")
+        assert channel.request({"a": 40, "b": 2}) == 42
         # one request + one response
         assert net.stats.sent == 2
 
     def test_call_retries_on_loss(self):
         net = SimNetwork(seed=11, loss_rate=0.4)
-        RpcServer(net, "server")
-        channel = RpcChannel(net, "client", "server", max_retries=50)
-        results = [channel.call(lambda: "ok") for _ in range(20)]
+        echo_server(net)
+        channel = InProcTransport(net, "client", "server", max_retries=50)
+        results = [channel.request("ok") for _ in range(20)]
         assert results == ["ok"] * 20
         assert channel.retries > 0  # some loss actually happened
 
     def test_call_times_out_on_total_loss(self):
         net = SimNetwork(seed=1, loss_rate=1.0)
-        RpcServer(net, "server")
-        channel = RpcChannel(net, "client", "server", max_retries=3)
+        echo_server(net)
+        channel = InProcTransport(net, "client", "server", max_retries=3)
         with pytest.raises(RpcTimeout):
-            channel.call(lambda: "never")
+            channel.request("never")
 
     def test_post_is_one_message(self):
         net = SimNetwork()
-        server = RpcServer(net, "server")
-        channel = RpcChannel(net, "client", "server")
         effects = []
-        channel.post(lambda: effects.append(1))
+        server = InProcListener(net, "server", effects.append)
+        OneWayTransport(net, "client", "server").post(1)
         assert effects == [1]
         assert net.stats.sent == 1
         assert server.handled == 1
 
     def test_post_loss_is_silent(self):
         net = SimNetwork(seed=1, loss_rate=1.0)
-        RpcServer(net, "server")
-        channel = RpcChannel(net, "client", "server")
         effects = []
-        channel.post(lambda: effects.append(1))  # dropped, no raise
+        InProcListener(net, "server", effects.append)
+        OneWayTransport(net, "client", "server").post(1)  # dropped, no raise
         assert effects == []
 
 
@@ -60,14 +70,14 @@ class TestCallCorrelation:
         import threading
 
         net = SimNetwork(seed=5, dup_rate=0.3)
-        RpcServer(net, "server")
-        channel = RpcChannel(net, "client", "server", seed=5)
+        echo_server(net)
+        channel = InProcTransport(net, "client", "server", seed=5)
         results: dict[tuple[int, int], object] = {}
         mutex = threading.Lock()
 
         def caller(tid: int) -> None:
             for i in range(25):
-                value = channel.call(lambda tid=tid, i=i: ("r", tid, i))
+                value = channel.request(("r", tid, i))
                 with mutex:
                     results[(tid, i)] = value
 
@@ -82,27 +92,25 @@ class TestCallCorrelation:
 
     def test_duplicated_responses_are_discarded(self):
         net = SimNetwork(seed=2, dup_rate=1.0)  # every message doubled
-        RpcServer(net, "server")
-        channel = RpcChannel(net, "client", "server")
-        assert [channel.call(lambda i=i: i) for i in range(10)] == list(range(10))
+        echo_server(net)
+        channel = InProcTransport(net, "client", "server")
+        assert [channel.request(i) for i in range(10)] == list(range(10))
 
 
 class TestRetryBackoff:
     def _delays_for(self, seed: int, monkeypatch) -> list[float]:
-        from repro.comm import rpc as rpc_module
-
         slept: list[float] = []
         monkeypatch.setattr(
-            rpc_module._time, "sleep", lambda d: slept.append(round(d, 9))
+            transport_module._time, "sleep", lambda d: slept.append(round(d, 9))
         )
         net = SimNetwork(seed=1, loss_rate=1.0)
-        RpcServer(net, "server")
-        channel = RpcChannel(
+        echo_server(net)
+        channel = InProcTransport(
             net, "client", "server", max_retries=6,
             backoff_base=0.001, backoff_max=1.0, seed=seed,
         )
         with pytest.raises(RpcTimeout):
-            channel.call(lambda: "never")
+            channel.request("never")
         return slept
 
     def test_backoff_is_seed_deterministic(self, monkeypatch):
@@ -110,18 +118,16 @@ class TestRetryBackoff:
         assert self._delays_for(3, monkeypatch) != self._delays_for(4, monkeypatch)
 
     def test_backoff_grows_and_respects_the_cap(self, monkeypatch):
-        from repro.comm import rpc as rpc_module
-
         slept: list[float] = []
-        monkeypatch.setattr(rpc_module._time, "sleep", lambda d: slept.append(d))
+        monkeypatch.setattr(transport_module._time, "sleep", lambda d: slept.append(d))
         net = SimNetwork(seed=1, loss_rate=1.0)
-        RpcServer(net, "server")
-        channel = RpcChannel(
+        echo_server(net)
+        channel = InProcTransport(
             net, "client", "server", max_retries=8,
             backoff_base=0.001, backoff_factor=2.0, backoff_max=0.004, seed=0,
         )
         with pytest.raises(RpcTimeout):
-            channel.call(lambda: "never")
+            channel.request("never")
         assert len(slept) == 8
         # Jitter is in [0.5, 1.0), so the cap bounds every sleep and the
         # later (capped) delays still exceed the first un-capped one.
@@ -129,18 +135,16 @@ class TestRetryBackoff:
         assert max(slept) > min(slept)
 
     def test_zero_base_never_sleeps(self, monkeypatch):
-        from repro.comm import rpc as rpc_module
-
         monkeypatch.setattr(
-            rpc_module._time, "sleep",
+            transport_module._time, "sleep",
             lambda d: (_ for _ in ()).throw(AssertionError("slept")),
         )
         net = SimNetwork(seed=1, loss_rate=1.0)
-        RpcServer(net, "server")
-        channel = RpcChannel(net, "client", "server", max_retries=3,
-                             backoff_base=0.0)
+        echo_server(net)
+        channel = InProcTransport(net, "client", "server", max_retries=3,
+                                  backoff_base=0.0)
         with pytest.raises(RpcTimeout):
-            channel.call(lambda: "never")
+            channel.request("never")
 
 
 class TestOneWayTransportWithClerk:
@@ -150,7 +154,7 @@ class TestOneWayTransportWithClerk:
 
         system = TPSystem()
         net = SimNetwork()  # lossless
-        RpcServer(net, "qm-node")
+        run_posted(net, "qm-node")
         transport = OneWayTransport(net, "client-node", "qm-node")
         clerk = system.clerk("c1")
         clerk.transport = transport
@@ -172,7 +176,7 @@ class TestOneWayTransportWithClerk:
 
         system = TPSystem()
         net = SimNetwork(seed=1, loss_rate=1.0)  # everything lost
-        RpcServer(net, "qm-node")
+        run_posted(net, "qm-node")
         transport = OneWayTransport(net, "client-node", "qm-node")
         clerk = system.clerk("c1")
         clerk.transport = transport

@@ -82,7 +82,7 @@ def _check(state, recovered, plan):
     system2, coordinator = recovered
     try:
         assert coordinator.joined("c1#1")
-        reply_q = system2.reply_repo.get_queue(system2.reply_queue_name("c1"))
+        reply_q = system2.request_repo.get_queue(system2.reply_queue_name("c1"))
         # The reply was either consumed by the client or is the single
         # remaining element — never duplicated.
         assert reply_q.depth() + reply_q.pending() <= 1

@@ -258,10 +258,10 @@ class TestDistributed2PC:
         assert reply.body == "saved"
 
     def test_two_repositories_are_refused(self):
-        # One transaction covers the dequeue and the reply, so both
-        # queue managers must front the same repository.
+        # One transaction covers the dequeue and the reply, so a server
+        # has one queue manager: there is nowhere to name a second.
         system = TPSystem()
         other = QueueManager(QueueRepository("repnode", MemDisk()))
-        with pytest.raises(ValueError, match="one repository"):
+        with pytest.raises(TypeError, match="reply_qm"):
             Server("s", system.request_qm, system.request_queue,
                    lambda txn, r: "x", reply_qm=other)

@@ -32,7 +32,6 @@ class TestWiring:
         assert system.request_repo.shard_count == 4
         assert isinstance(system.request_repo.tm, ShardedTransactionManager)
         assert len(system.request_repo.disks) == 4
-        assert system.reply_repo is system.request_repo
 
 
 class TestEndToEnd:

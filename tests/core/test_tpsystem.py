@@ -42,21 +42,23 @@ class TestConfiguration:
         system = TPSystem()
         assert system.reply_queue_name("c9") == "reply.c9"
         name = system.ensure_reply_queue("c9")
-        assert name in system.reply_repo.queues
+        assert name in system.request_repo.queues
         # idempotent
         assert system.ensure_reply_queue("c9") == name
 
     def test_single_node_shares_repo(self):
+        # One repository holds requests and replies; there is no
+        # second pair of names for it.
         system = TPSystem()
-        assert system.reply_repo is system.request_repo
-        assert system.reply_qm is system.request_qm
+        clerk = system.clerk("c1")
+        assert clerk.reply_qm is clerk.request_qm is system.request_qm
+        assert not hasattr(system, "reply_repo") and not hasattr(system, "reply_qm")
 
     def test_separate_reply_node(self):
         # "Replies on another node" is a placement, not a second
         # repository: the reply queue lives on another shard.
         system = pinned_two_shard_system()
         system.ensure_reply_queue("c1")
-        assert system.reply_repo is system.request_repo
         assert system.request_repo.shard_of(system.request_queue) == 0
         assert system.request_repo.shard_of("reply.c1") == 1
         assert system.queue_depths(by_shard=True)["s1:reply.c1"] == 0
@@ -81,7 +83,7 @@ class TestReopen:
         system.crash()
         system2 = system.reopen()
         assert system2.request_repo.shard_count == 2
-        assert "reply.c1" in system2.reply_repo.queues
+        assert "reply.c1" in system2.request_repo.queues
         assert system2.request_repo.shard_of("reply.c1") == 1
 
     def test_drain_helper(self):

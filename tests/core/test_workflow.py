@@ -66,7 +66,7 @@ class TestForkJoin:
         # A recovering coordinator re-arms; the join must not re-fire.
         coordinator2 = make_coordinator(system)
         assert coordinator2.joined("c1#1")
-        reply_q = system.reply_repo.get_queue(system.reply_queue_name("c1"))
+        reply_q = system.request_repo.get_queue(system.reply_queue_name("c1"))
         assert reply_q.depth() == 1  # exactly one client reply
 
     def test_coordinator_recovery_after_crash_completes_join(self):

@@ -235,6 +235,22 @@ class TestTwoPhase:
         call(service, op="txn_commit_prepared", txn=txn, gid="g1")
         assert call(service, op="depth", queue="q") == 1
 
+    def test_abort_of_a_prepared_branch_releases_it(self):
+        """A coordinator that lost the ``txn_prepare`` reply still
+        thinks the branch active and vetoes with ``txn_abort``: the
+        shard must undo the prepared branch, not just forget its id."""
+        service = make_service()
+        call(service, op="create_queue", queue="q")
+        handle = register(service)
+        call(service, op="enqueue", handle=handle, body={"n": 1})
+        opened = call(service, op="dequeue", handle=handle, txn="new")
+        call(service, op="txn_prepare", txn=opened["txn"], gid="g1")
+        call(service, op="txn_abort", txn=opened["txn"], reason="2pc veto")
+        assert service.txns == {}
+        assert call(service, op="depth", queue="q") == 1
+        assert service.repo.tm.active_txns() == []
+        assert call(service, op="dequeue", handle=handle)["body"] == {"n": 1}
+
     def test_decide_is_write_once_idempotent(self):
         service = make_service()
         call(service, op="txn_decide", gid="g1", decision="commit")
