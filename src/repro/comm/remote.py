@@ -58,7 +58,7 @@ from typing import Any, Callable
 from repro.comm.transport import Transport
 from repro.comm.wire import error_payload, ok_payload, unwrap
 from repro.errors import NotRegisteredError, ReproError, TransactionAborted
-from repro.queueing.element import Element
+from repro.queueing.element import Body, Element
 from repro.queueing.manager import QueueHandle, QueueManager
 from repro.queueing.registration import Registration
 from repro.transaction.ids import TxnStatus
@@ -100,7 +100,9 @@ def op_deregister(handle: QueueHandle) -> dict[str, Any]:
 def op_enqueue(handle: QueueHandle, body: Any, tag: Any = None, txn: int | str | None = None,
                priority: int = 0, headers: dict[str, Any] | None = None,
                commit: bool = False) -> dict[str, Any]:
-    payload = {"op": "enqueue", "handle": handle_record(handle), "body": body,
+    # The one place a body is encoded for the wire: the frame, the
+    # shard, its log and every response carry these bytes as they are.
+    payload = {"op": "enqueue", "handle": handle_record(handle), "body": Body.of(body).blob,
                "tag": tag, "txn": txn, "priority": priority, "headers": headers}
     if commit:  # absent otherwise: an auto-commit Send's frame stays as it was
         payload["commit"] = True
@@ -223,9 +225,12 @@ class QueueManagerService:
             pass
 
     def _op_enqueue(self, payload: dict[str, Any]) -> Any:
+        blob = payload["body"]
+        if type(blob) is not bytes:
+            raise ReproError("malformed payload: an enqueue's body must be codec bytes")
         return self._in_txn(payload, lambda txn: self.qm.enqueue(
             handle_from_record(payload["handle"]),
-            payload["body"],
+            Body(blob=blob),
             tag=payload.get("tag"),
             txn=txn,
             priority=payload.get("priority", 0),

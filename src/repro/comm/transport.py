@@ -423,11 +423,13 @@ class TcpTransport(CorrelatedChannel):
                         self._deliver_response(call_id, payload)
         except (OSError, FrameError):
             pass
-        self._teardown(sock)
-        # Wake blocked callers so they retry instead of waiting out the
-        # full per-attempt timeout against a dead socket.
-        with self._cond:
-            self._cond.notify_all()
+        finally:
+            # However the reader ends, the socket is dead: drop it and
+            # wake blocked callers so they retry instead of waiting out
+            # the full per-attempt timeout against it.
+            self._teardown(sock)
+            with self._cond:
+                self._cond.notify_all()
 
     # -- engine hook ----------------------------------------------------
 
@@ -455,9 +457,9 @@ class TcpTransport(CorrelatedChannel):
                 raise PartitionedError(
                     f"send to {self.host}:{self.port} failed: {exc}"
                 ) from exc
-            generation = self._generation
-        self.bytes_sent += len(data)
-        return generation
+            # under the lock: callers on any number of threads share it
+            self.bytes_sent += len(data)
+            return self._generation
 
     def _attempt_broken(self, token: Any) -> bool:
         # The socket that carried this attempt is gone: its response

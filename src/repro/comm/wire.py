@@ -111,10 +111,18 @@ class FrameReader:
             if zlib.crc32(body) != crc:
                 raise FrameError("frame body failed its CRC check")
             try:
-                kind, call_id, payload = decode(body)
+                triple = decode(body)
             except (CodecError, ValueError) as exc:
                 raise FrameError(f"undecodable frame body: {exc}") from exc
-            yield kind, call_id, payload
+            # A CRC-valid body of the wrong shape is as corrupt as a bad
+            # CRC: it must fail as a FrameError, the one error readers
+            # handle by dropping the connection.
+            if (type(triple) is not list or len(triple) != 3
+                    or type(triple[0]) is not str or type(triple[1]) is not int):
+                raise FrameError(
+                    "frame body is not a [kind, call_id, payload] list"
+                )
+            yield triple[0], triple[1], triple[2]
 
 
 # ---------------------------------------------------------------------------

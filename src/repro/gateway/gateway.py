@@ -34,6 +34,7 @@ from repro.comm.wire import DEFAULT_MAX_FRAME
 from repro.core.request import Request, make_rid
 from repro.errors import Busy, CommError, ReproError
 from repro.obs import Observability, get_observability
+from repro.queueing.element import Element
 from repro.queueing.manager import QueueHandle
 from repro.queueing.placement import ConsistentHashPlacement, PlacementPolicy
 from repro.queueing.sharded import route
@@ -273,7 +274,7 @@ class GatewaySession:
             timeout=remote.dequeue_wire_timeout(True, timeout),
         )
         gateway._release(consumed_request=True)
-        return record["body"]
+        return Element.from_record(record).body
 
     async def close(self) -> None:
         """Disconnect: deregister from both queues."""

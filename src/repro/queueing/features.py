@@ -130,7 +130,7 @@ class Redirection:
                 )
                 self.target.enqueue(
                     txn,
-                    element.body,
+                    element.stored_body,
                     priority=element.priority,
                     headers=element.headers,
                     eid=element.eid,

@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterator
 
 from repro.errors import NoSuchElementError, NotRegisteredError
 from repro.obs import Observability
-from repro.queueing.element import Element
+from repro.queueing.element import Body, Element
 from repro.queueing.registration import Registration
 from repro.queueing.repository import QueueRepository
 from repro.transaction.manager import Transaction
@@ -203,14 +203,19 @@ class QueueManager:
             ):
                 return previous.last_eid
         self._queue(handle)  # must exist, before any transaction begins
+        # One Body for the queue's log record and the registration's
+        # copy: the first of them to need the bytes encodes it, the
+        # other reuses them (and a Body from the wire is never encoded).
+        stored = Body.of(body)
 
         def op(repo, t: Transaction) -> int:
             eid = repo.get_queue(handle.queue).enqueue(
-                t, body, priority=priority, headers=headers
+                t, stored, priority=priority, headers=headers
             )
-            element = queue_element_record(body, eid, priority, headers)
+            copy = Element(eid, stored, priority, headers=headers)
             repo.registration.record_op(
-                t, handle.queue, handle.registrant, "enq", tag, eid, element
+                t, handle.queue, handle.registrant, "enq", tag, eid,
+                copy.to_record(),
             )
             return eid
 
@@ -324,7 +329,7 @@ class QueueManager:
         except NoSuchElementError:
             reg = self.repo.registration.lookup(handle.queue, handle.registrant)
             if reg is not None and reg.last_eid == eid and reg.last_element:
-                return Element.from_record(reg.last_element)
+                return reg.element()
             raise
 
     def kill_element(self, handle: QueueHandle, eid: int) -> bool:
@@ -350,16 +355,3 @@ class QueueManager:
     def depth(self, qname: str) -> int:
         return self.repo.get_queue(qname).depth()
 
-
-def queue_element_record(
-    body: Any, eid: int, priority: int, headers: dict[str, Any] | None
-) -> dict[str, Any]:
-    """Element record for registration copies of a just-enqueued element."""
-    return {
-        "eid": eid,
-        "body": body,
-        "prio": priority,
-        "seq": 0,
-        "aborts": 0,
-        "hdrs": dict(headers or {}),
-    }

@@ -696,7 +696,7 @@ class RecoverableQueue:
             headers["origin_queue"] = self.name
             target.enqueue(
                 txn,
-                element.body,
+                element.stored_body,
                 priority=element.priority,
                 headers=headers,
                 eid=eid,

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import NotRegisteredError
+from repro.queueing.element import RECORD_FORMAT, Element
 from repro.transaction.manager import Transaction
 
 
@@ -45,8 +46,9 @@ class Registration:
     last_tag: Any = None
     #: eid of the element operated upon
     last_eid: int | None = None
-    #: full stable copy of that element (lets Read succeed "even if ...
-    #: the enqueued element was dequeued by another registrant")
+    #: full stable copy of that element, as an element record (lets
+    #: Read succeed "even if ... the enqueued element was dequeued by
+    #: another registrant"); :meth:`element` reads it
     last_element: dict[str, Any] | None = None
 
     def to_record(self) -> dict[str, Any]:
@@ -62,7 +64,18 @@ class Registration:
 
     @classmethod
     def from_record(cls, record: dict[str, Any]) -> "Registration":
-        return cls(**record)
+        reg = cls(**record)
+        copy = reg.last_element
+        if copy is not None and copy.get("fmt") != RECORD_FORMAT:
+            # written before bodies were stored encoded: rewrite it in
+            # this format, so no later record or checkpoint repeats it
+            reg.last_element = Element.from_record(copy).to_record()
+        return reg
+
+    def element(self) -> Element | None:
+        """The stable element copy as an :class:`Element` (its body
+        decoded on first access), or None."""
+        return None if self.last_element is None else Element.from_record(self.last_element)
 
 
 class RegistrationTable:

@@ -89,7 +89,7 @@ class StableRelay:
                 headers = dict(element.headers)
                 headers["relay_key"] = key
                 target.enqueue(
-                    txn, element.body, priority=element.priority, headers=headers
+                    txn, element.stored_body, priority=element.priority, headers=headers
                 )
                 self.seen.put(txn, key, True)
         # Step 3: local dequeue (safe to crash before this — the dedup

@@ -190,7 +190,7 @@ class ReplicatedQueue:
             with recovered.tm.transaction() as txn:
                 secondary_queue.enqueue(
                     txn,
-                    element.body,
+                    element.stored_body,
                     priority=element.priority,
                     headers=element.headers,
                 )

@@ -158,7 +158,7 @@ class VolatileRelay:
                 break
             self.target.enqueue(
                 None,
-                element.body,
+                element.stored_body,
                 priority=element.priority,
                 headers=element.headers,
             )

@@ -49,6 +49,8 @@ _TAG_BYTES = _T_BYTES[0]
 _TAG_LIST = _T_LIST[0]
 _TAG_DICT = _T_DICT[0]
 
+_FLOAT = struct.Struct(">d")
+
 
 class CodecError(ValueError):
     """Raised for unsupported types on encode or malformed bytes on decode."""
@@ -87,10 +89,6 @@ def _read_varint(data: Buffer, pos: int) -> tuple[int, int]:
 def _bigzag(value: int) -> int:
     # Arbitrary-precision zig-zag: non-negative -> even, negative -> odd.
     return value * 2 if value >= 0 else -value * 2 - 1
-
-
-def _unzigzag(value: int) -> int:
-    return value // 2 if value % 2 == 0 else -(value + 1) // 2
 
 
 def encode_into(out: bytearray, obj: Any) -> None:
@@ -145,6 +143,15 @@ def _encode_into(out: bytearray, obj: Any) -> None:
                 _write_varint(out, klen)
             out += raw
             _encode_into(out, value)
+    elif kind is bytes:
+        # element records carry their body as one (often large) bytes leaf
+        length = len(obj)
+        out += _T_BYTES
+        if length < 0x80:
+            out.append(length)
+        else:
+            _write_varint(out, length)
+        out += obj
     elif obj is None:
         out += _T_NONE
     elif obj is True:
@@ -162,8 +169,8 @@ def _encode_into(out: bytearray, obj: Any) -> None:
             _encode_into(out, item)
     elif kind is float:
         out += _T_FLOAT
-        out += struct.pack(">d", obj)
-    elif kind is bytes or kind is bytearray or kind is memoryview:
+        out += _FLOAT.pack(obj)
+    elif kind is bytearray or kind is memoryview:
         raw = bytes(obj)
         out += _T_BYTES
         _write_varint(out, len(raw))
@@ -174,7 +181,7 @@ def _encode_into(out: bytearray, obj: Any) -> None:
         _write_varint(out, _bigzag(int(obj)))
     elif isinstance(obj, float):
         out += _T_FLOAT
-        out += struct.pack(">d", obj)
+        out += _FLOAT.pack(obj)
     elif isinstance(obj, str):
         raw = str(obj).encode("utf-8")
         out += _T_STR
@@ -221,63 +228,102 @@ def decode_from(data: Buffer, pos: int) -> tuple[Any, int]:
     lets recovery replay decode records straight out of one mapped
     batch buffer with no per-record slice copy (``str``/``bytes``
     leaves materialise their own payload; the framing never does)."""
-    return _decode_from(data, pos)
+    return _decode_from(data, pos, len(data))
 
 
-def _decode_from(data: Buffer, pos: int) -> tuple[Any, int]:
-    if pos >= len(data):
+def _decode_from(data: Buffer, pos: int, end: int) -> tuple[Any, int]:
+    # The mirror of ``_encode_into``: tags tested in hot-path order, and
+    # the one-byte varints (< 0x80) that dominate lengths, counts and
+    # small ints read inline.  ``end`` is ``len(data)``, taken once per
+    # top-level call; every read is bounds-checked against it so a short
+    # buffer raises CodecError, never IndexError.
+    if pos >= end:
         raise CodecError("truncated value")
     tag = data[pos]
     pos += 1
+    if tag == _TAG_STR:
+        if pos >= end:
+            raise CodecError("truncated varint")
+        length = data[pos]
+        if length < 0x80:
+            pos += 1
+        else:
+            length, pos = _read_varint(data, pos)
+        stop = pos + length
+        if stop > end:
+            raise CodecError("truncated string")
+        return str(data[pos:stop], "utf-8"), stop
+    if tag == _TAG_INT:
+        if pos >= end:
+            raise CodecError("truncated varint")
+        zig = data[pos]
+        if zig < 0x80:
+            pos += 1
+        else:
+            zig, pos = _read_varint(data, pos)
+        return (zig >> 1) ^ -(zig & 1), pos
+    if tag == _TAG_DICT:
+        if pos >= end:
+            raise CodecError("truncated varint")
+        count = data[pos]
+        if count < 0x80:
+            pos += 1
+        else:
+            count, pos = _read_varint(data, pos)
+        result: dict[str, Any] = {}
+        for _ in range(count):
+            if pos >= end:
+                raise CodecError("truncated varint")
+            klen = data[pos]
+            if klen < 0x80:
+                pos += 1
+            else:
+                klen, pos = _read_varint(data, pos)
+            stop = pos + klen
+            if stop > end:
+                raise CodecError("truncated dict key")
+            key = str(data[pos:stop], "utf-8")
+            result[key], pos = _decode_from(data, stop, end)
+        return result, pos
+    if tag == _TAG_LIST:
+        if pos >= end:
+            raise CodecError("truncated varint")
+        count = data[pos]
+        if count < 0x80:
+            pos += 1
+        else:
+            count, pos = _read_varint(data, pos)
+        items = []
+        append = items.append
+        for _ in range(count):
+            item, pos = _decode_from(data, pos, end)
+            append(item)
+        return items, pos
     if tag == _TAG_NONE:
         return None, pos
     if tag == _TAG_TRUE:
         return True, pos
     if tag == _TAG_FALSE:
         return False, pos
-    if tag == _TAG_INT:
-        raw, pos = _read_varint(data, pos)
-        return _unzigzag(raw), pos
-    if tag == _TAG_FLOAT:
-        if pos + 8 > len(data):
-            raise CodecError("truncated float")
-        return struct.unpack(">d", data[pos : pos + 8])[0], pos + 8
-    if tag == _TAG_STR:
-        length, pos = _read_varint(data, pos)
-        if pos + length > len(data):
-            raise CodecError("truncated string")
-        return str(data[pos : pos + length], "utf-8"), pos + length
     if tag == _TAG_BYTES:
         length, pos = _read_varint(data, pos)
-        if pos + length > len(data):
+        stop = pos + length
+        if stop > end:
             raise CodecError("truncated bytes")
-        return bytes(data[pos : pos + length]), pos + length
-    if tag == _TAG_LIST:
-        count, pos = _read_varint(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _decode_from(data, pos)
-            items.append(item)
-        return items, pos
-    if tag == _TAG_DICT:
-        count, pos = _read_varint(data, pos)
-        result: dict[str, Any] = {}
-        for _ in range(count):
-            klen, pos = _read_varint(data, pos)
-            if pos + klen > len(data):
-                raise CodecError("truncated dict key")
-            key = str(data[pos : pos + klen], "utf-8")
-            pos += klen
-            value, pos = _decode_from(data, pos)
-            result[key] = value
-        return result, pos
+        return bytes(data[pos:stop]), stop
+    if tag == _TAG_FLOAT:
+        stop = pos + 8
+        if stop > end:
+            raise CodecError("truncated float")
+        return _FLOAT.unpack_from(data, pos)[0], stop
     raise CodecError(f"unknown type tag {chr(tag)!r}")
 
 
 def decode(data: Buffer) -> Any:
     """Decode bytes produced by :func:`encode`.  Raises
     :class:`CodecError` on malformed input or trailing garbage."""
-    obj, pos = _decode_from(data, 0)
-    if pos != len(data):
-        raise CodecError(f"{len(data) - pos} trailing bytes after value")
+    end = len(data)
+    obj, pos = _decode_from(data, 0, end)
+    if pos != end:
+        raise CodecError(f"{end - pos} trailing bytes after value")
     return obj

@@ -112,7 +112,10 @@ KIND_END_CKPT = "eck"
 _CKPT_KINDS = (KIND_BEGIN_CKPT, KIND_END_CKPT)
 
 _CHECKPOINT_AREA_SUFFIX = ".ckpt"
-_CHECKPOINT_VERSION = 2
+#: 3: element records in the snapshots hold their body as codec bytes
+#: (see :class:`repro.queueing.element.Element`); blobs of versions 1
+#: and 2, with inline bodies, still load
+_CHECKPOINT_VERSION = 3
 
 #: sub-frame length prefix of a WAL batch body (see ``append_batch``)
 _SUB_LEN = struct.Struct(">I")

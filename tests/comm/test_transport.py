@@ -3,11 +3,13 @@ correlation, retry/reconnect, and mid-call peer death."""
 
 import os
 import socket
+import struct
 import subprocess
 import sys
 import textwrap
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -18,8 +20,10 @@ from repro.comm.remote import (
     op_dequeue,
     op_register,
 )
+from repro.comm import transport as transport_module
 from repro.comm.transport import NO_RESPONSE, TcpListener, TcpTransport
 from repro.comm.wire import (
+    KIND_CALL,
     KIND_RESP,
     FrameReader,
     encode_frame,
@@ -35,6 +39,7 @@ from repro.errors import (
 )
 from repro.queueing.manager import QueueManager
 from repro.queueing.repository import QueueRepository
+from repro.storage.codec import encode
 from repro.storage.disk import MemDisk
 
 
@@ -152,6 +157,76 @@ class TestPeerDeath:
             assert not thread.is_alive(), "caller still stuck after peer death"
             assert result and isinstance(result[0], CommError)
         finally:
+            transport.close()
+            listener.close()
+
+
+    def test_a_malformed_reply_fails_the_call_promptly(self):
+        """A peer answers with a CRC-valid frame whose body is not a
+        ``[kind, call_id, payload]`` list: the reader must tear the
+        connection down and wake the caller, not die and leave it to
+        wait out its timeout against a socket nobody reads."""
+        server = socket.socket()
+        server.bind(("127.0.0.1", 0))
+        server.listen(1)
+
+        def serve():
+            conn, _ = server.accept()
+            with conn:
+                conn.recv(65536)
+                body = encode(7)
+                conn.sendall(struct.pack(">2sBBII", b"RQ", 1, 0, len(body),
+                                         zlib.crc32(body)) + body)
+                conn.recv(65536)  # until the caller hangs up
+
+        threading.Thread(target=serve, daemon=True).start()
+        transport = make_transport(
+            server.getsockname()[1], timeout=30.0, max_retries=0)
+        started = time.monotonic()
+        try:
+            with pytest.raises(CommError):
+                transport.request({"op": "x"})
+            assert time.monotonic() - started < 5.0
+        finally:
+            transport.close()
+            server.close()
+
+
+class TestCounters:
+    def test_bytes_sent_counts_every_frame_under_concurrency(self, monkeypatch):
+        """Eight threads share one transport: ``bytes_sent`` is the sum
+        of the frames they sent, with no update lost to a race."""
+        sent: list[int] = []
+        lock = threading.Lock()
+
+        def counting_encode_frame(kind, *args, **kwargs):
+            frame = encode_frame(kind, *args, **kwargs)
+            if kind == KIND_CALL:  # the listener's responses share the module
+                with lock:
+                    sent.append(len(frame))
+            return frame
+
+        monkeypatch.setattr(transport_module, "encode_frame", counting_encode_frame)
+        listener = TcpListener(lambda payload: ok_payload(payload["n"]))
+        transport = make_transport(listener.port)
+
+        def caller(index):
+            for n in range(500):
+                assert unwrap(transport.request({"n": index * 1000 + n})) == index * 1000 + n
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(sent) == 8 * 500
+            assert transport.bytes_sent == sum(sent)
+        finally:
+            sys.setswitchinterval(interval)
             transport.close()
             listener.close()
 

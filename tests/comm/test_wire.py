@@ -2,6 +2,7 @@
 socket — torn delivery, corruption, oversize, version skew."""
 
 import struct
+import zlib
 
 import pytest
 
@@ -23,6 +24,12 @@ from repro.errors import (
     ReproError,
     TransactionAborted,
 )
+from repro.storage.codec import encode
+
+
+def raw_frame(body: bytes) -> bytes:
+    """A well-formed, CRC-valid frame around an arbitrary body."""
+    return struct.pack(">2sBBII", b"RQ", 1, 0, len(body), zlib.crc32(body)) + body
 
 
 class TestFraming:
@@ -78,6 +85,17 @@ class TestFraming:
         frame[-1] ^= 0xFF  # flip a body bit
         with pytest.raises(FrameError, match="CRC"):
             list(FrameReader().feed(bytes(frame)))
+
+    @pytest.mark.parametrize("body", [
+        7, None, "resp", [KIND_RESP, 1], [KIND_RESP, 1, None, None],
+        [1, 2, None], [KIND_RESP, "1", None], [KIND_RESP, None, None],
+    ], ids=repr)
+    def test_crc_valid_body_of_the_wrong_shape_rejected(self, body):
+        """Only a ``[kind: str, call_id: int, payload]`` list is a frame
+        body; anything else fails as a FrameError, the error readers
+        answer by dropping the connection."""
+        with pytest.raises(FrameError, match="kind, call_id, payload"):
+            list(FrameReader().feed(raw_frame(encode(body))))
 
     def test_oversized_payload_rejected_before_allocation(self):
         """A hostile or corrupt length field must be refused from the

@@ -2,7 +2,9 @@
 (:mod:`repro.comm.remote`'s ``op_*`` builders).  These are golden
 tests: the literal payloads — key order included, it is part of the
 frame bytes — are the ones the tcp stub and the gateway session sent
-before the builders existed, so frames stay byte-identical."""
+before the builders existed, so frames stay byte-identical, except that
+an enqueue's body is its codec bytes (encoded once, here, for the
+frame, the shard's log and every response)."""
 
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from repro.gateway.gateway import Gateway, GatewaySession
 from repro.queueing.element import Element
 from repro.queueing.manager import QueueHandle
 from repro.serve.client import RemoteShardedQueueManager
+from repro.storage.codec import encode
 
 HANDLE = QueueHandle("reqnode", "req.q", "c0")
 HANDLE_RECORD = {"repository": "reqnode", "queue": "req.q", "registrant": "c0"}
@@ -27,7 +30,7 @@ SEND_BODY = Request(
 ).to_body()
 SEND_HEADERS = {"rid": "c0#1", "reply_to": "reply.c0"}
 SEND = {
-    "op": "enqueue", "handle": HANDLE_RECORD, "body": SEND_BODY,
+    "op": "enqueue", "handle": HANDLE_RECORD, "body": encode(SEND_BODY),
     "tag": "c0#1", "txn": None, "priority": 0, "headers": SEND_HEADERS,
 }
 RECEIVE = {
@@ -44,7 +47,7 @@ GOLDEN = [
     (remote.op_enqueue(HANDLE, SEND_BODY, "c0#1", headers=SEND_HEADERS),
      SEND),
     (remote.op_enqueue(HANDLE, 1, txn=9, priority=2),
-     {"op": "enqueue", "handle": HANDLE_RECORD, "body": 1, "tag": None,
+     {"op": "enqueue", "handle": HANDLE_RECORD, "body": encode(1), "tag": None,
       "txn": 9, "priority": 2, "headers": None}),
     (remote.op_dequeue(HANDLE, ["c0#1", None], block=True, timeout=2.0),
      RECEIVE),
@@ -59,7 +62,7 @@ GOLDEN = [
       "error_queue": "req.err", "txn": "new", "block": True,
       "timeout": 0.05}),
     (remote.op_enqueue(HANDLE, 1, txn=9, headers={"rid": "c0#1"}, commit=True),
-     {"op": "enqueue", "handle": HANDLE_RECORD, "body": 1, "tag": None,
+     {"op": "enqueue", "handle": HANDLE_RECORD, "body": encode(1), "tag": None,
       "txn": 9, "priority": 0, "headers": {"rid": "c0#1"}, "commit": True}),
     (remote.op_registration_info(HANDLE),
      {"op": "registration_info", "handle": HANDLE_RECORD}),
@@ -93,7 +96,9 @@ def test_canonical_send_frame_is_byte_identical():
         remote.op_enqueue(HANDLE, SEND_BODY, "c0#1", headers=SEND_HEADERS),
     )
     assert frame == encode_frame(KIND_CALL, 7, SEND)
-    assert len(frame) == 286  # this call's frame length at the parent commit
+    # the body travels as its codec bytes: a bytes leaf wrapped around
+    # the value's encoding costs 2 bytes over the value inline (286)
+    assert len(frame) == 288
 
 
 def test_only_a_committing_enqueue_has_the_commit_key():

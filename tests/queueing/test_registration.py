@@ -7,6 +7,7 @@ import pytest
 from repro.errors import NotRegisteredError
 from repro.queueing.manager import QueueManager
 from repro.queueing.repository import QueueRepository
+from repro.storage.codec import encode
 from repro.storage.disk import MemDisk
 
 
@@ -137,7 +138,9 @@ class TestTags:
         h, _, _ = qm.register("q", "alice")
         qm.enqueue(h, {"data": 42}, tag="t")
         info = qm.registration_info(h)
-        assert info.last_element["body"] == {"data": 42}
+        assert info.element().body == {"data": 42}
+        # stored as the body's codec bytes, exactly once
+        assert info.last_element["body"] == encode({"data": 42})
 
     def test_read_from_registration_copy_after_archive_eviction(self, setup):
         # Section 4.3: Read works even if the element was dequeued by

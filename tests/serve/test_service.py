@@ -13,8 +13,10 @@ from repro.errors import (
     ReproError,
     TransactionAborted,
 )
+from repro.queueing.element import Element
 from repro.queueing.repository import QueueRepository
 from repro.serve.service import ShardService
+from repro.storage.codec import encode
 from repro.storage.disk import MemDisk
 from repro.storage.faults import DiskFault, FaultyDisk
 
@@ -25,6 +27,10 @@ def make_service(disk=None, epoch=0):
 
 
 def call(service, **payload):
+    """Call ``service`` as a stub does: an enqueue's body goes out as
+    its codec bytes (the shard never sees the value)."""
+    if payload.get("op") == "enqueue":
+        payload["body"] = encode(payload["body"])
     return unwrap(service.handle(payload))
 
 
@@ -249,7 +255,8 @@ class TestTwoPhase:
         assert service.txns == {}
         assert call(service, op="depth", queue="q") == 1
         assert service.repo.tm.active_txns() == []
-        assert call(service, op="dequeue", handle=handle)["body"] == {"n": 1}
+        record = call(service, op="dequeue", handle=handle)
+        assert Element.from_record(record).body == {"n": 1}
 
     def test_decide_is_write_once_idempotent(self):
         service = make_service()
