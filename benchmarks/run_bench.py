@@ -1,13 +1,15 @@
 #!/usr/bin/env python
 """Commit-throughput benchmarks: group commit and repository sharding.
 
-**groupcommit** (default): N committer threads x M transactions each
+**groupcommit** (default): committer threads x M transactions each
 against one repository (a KV table sharing the node's log, as in
 Figure 5's server transaction), on both the in-memory disk and the
-file-backed disk, with group commit disabled (the seed's
-one-fsync-per-commit behaviour) and enabled.  Writes
-``BENCH_groupcommit.json`` with txn/s, the disk's flush count, and the
-batch-size distribution.
+file-backed disk, at 1 thread and at N threads.  Group commit is the
+log's own force (``WriteAheadLog.flush_until`` flushes under the log
+lock, so committers queued behind a flush find their records durable).
+Writes ``BENCH_groupcommit.json`` with txn/s, the disk's flush count,
+and the forced (leader) and piggybacked (follower) commit forces; the
+mean group is ``(forced + piggybacked) / forced``.
 
 **checkpoint** (``--checkpoint-bytes N``): the same committer workload
 on one file-backed repository, with the byte-triggered fuzzy
@@ -45,10 +47,10 @@ lock conflicts, skipped-locked counts, and WAL appends per commit.
 **detlane** (``--cc``): the concurrency-control contention sweep —
 N consumer threads each running auto-commit dequeue-then-requeue
 against a strict-FIFO hot queue (with probability ``hot_fraction``)
-or their private queue, on a file-backed repository with group commit
-off, once under 2PL and once routed through the deterministic
-plan-queue lane.  At high contention the 2PL cells collapse into
-``ElementLockedError`` retry storms and one fsync per commit, while
+or their private queue, on a file-backed repository, once under 2PL and
+once routed through the deterministic plan-queue lane.  At high
+contention the 2PL cells collapse into ``ElementLockedError`` retry
+storms and one fsync per commit, while
 the lane serializes intents without conflicts and coalesces each plan
 batch into a single commit force.  Writes ``BENCH_detlane.json``; the
 ``--check`` gate asserts the lane overtakes 2PL at the
@@ -118,7 +120,6 @@ from repro.queueing.repository import QueueRepository
 from repro.queueing.sharded import ShardedRepository
 from repro.replication import ReplicaSet
 from repro.storage.disk import FileDisk, MemDisk
-from repro.storage.groupcommit import GroupCommitConfig
 from repro.transaction.deterministic import DeterministicLane
 
 SCHEMA_VERSION = 1
@@ -134,7 +135,6 @@ def _counter_total(snapshot: dict, name: str) -> int:
 
 def run_scenario(
     disk_kind: str,
-    group_commit: GroupCommitConfig,
     threads_n: int,
     txns_n: int,
     obs: Observability | None = None,
@@ -150,11 +150,14 @@ def run_scenario(
     else:
         raise ValueError(f"unknown disk kind {disk_kind!r}")
     try:
-        repo = QueueRepository(
-            "bench", disk, obs=obs, group_commit=group_commit
-        )
+        repo = QueueRepository("bench", disk, obs=obs)
         table = repo.create_table("accounts")
         flushes_before = disk.flush_count
+        snapshot = obs.metrics.snapshot()
+        forced_before = _counter_total(snapshot, "wal_group_commit_forced_total")
+        piggybacked_before = _counter_total(
+            snapshot, "wal_group_commit_piggybacked_total"
+        )
         errors: list[BaseException] = []
 
         def committer(tid: int) -> None:
@@ -181,29 +184,22 @@ def run_scenario(
         commits = threads_n * txns_n
         flushes = disk.flush_count - flushes_before
         snapshot = obs.metrics.snapshot()
-        batch = None
-        family = snapshot.get("wal_group_commit_batch_size")
-        if family and family["series"]:
-            series = family["series"][0]
-            batch = {
-                "count": series["count"],
-                "mean": series.get("mean", 0.0),
-                "max": series.get("max", 0.0),
-                "buckets": series["buckets"],
-            }
+        forced = _counter_total(
+            snapshot, "wal_group_commit_forced_total") - forced_before
+        piggybacked = _counter_total(
+            snapshot, "wal_group_commit_piggybacked_total") - piggybacked_before
         return {
             "disk": disk_kind,
-            "group_commit": group_commit.enabled,
-            "max_wait": group_commit.max_wait,
-            "max_batch": group_commit.max_batch,
             "threads": threads_n,
             "txns_per_thread": txns_n,
             "commits": commits,
             "flushes": flushes,
             "flushes_per_commit": flushes / commits if commits else 0.0,
+            "forced": forced,
+            "piggybacked": piggybacked,
+            "mean_group": (forced + piggybacked) / forced if forced else 0.0,
             "txn_per_sec": commits / elapsed if elapsed > 0 else 0.0,
             "elapsed_s": elapsed,
-            "batch_size": batch,
         }
     finally:
         if isinstance(disk, FileDisk):
@@ -236,11 +232,7 @@ def run_sharded_scenario(
         placement = PinnedPlacement(
             {f"t{t}": t % shard_count for t in range(threads_n)}
         )
-        repo = ShardedRepository(
-            "bench", disks, obs=obs,
-            group_commit=GroupCommitConfig(enabled=False),
-            placement=placement,
-        )
+        repo = ShardedRepository("bench", disks, obs=obs, placement=placement)
         tables = [repo.create_table(f"t{t}") for t in range(threads_n)]
         tm = repo.tm
         commits_before = tm.commits
@@ -407,10 +399,7 @@ def run_failover_scenario(phase: str, threads_n: int, txns_n: int) -> dict:
     try:
         disk = FileDisk(tmp_primary.name)
         disks.append(disk)
-        repo = ShardedRepository(
-            "bench", [disk], obs=obs,
-            group_commit=GroupCommitConfig(enabled=False),
-        )
+        repo = ShardedRepository("bench", [disk], obs=obs)
         table = repo.create_table("accounts")
         replicas = None
         if phase != "baseline":
@@ -452,10 +441,7 @@ def run_failover_scenario(phase: str, threads_n: int, txns_n: int) -> dict:
             commits_before_failover = threads_n * first
             started = time.perf_counter()
             promoted = replicas.fail_over(0, reason="bench.kill")
-            reopened = ShardedRepository(
-                "bench", [promoted], obs=Observability(),
-                group_commit=GroupCommitConfig(enabled=False),
-            )
+            reopened = ShardedRepository("bench", [promoted], obs=Observability())
             rto_seconds = time.perf_counter() - started
             failovers = 1
             new_table = reopened.create_table("accounts")
@@ -530,7 +516,6 @@ def run_hotpath_scenario(
     prefill: int,
     threads_n: int,
     txns_n: int,
-    group_commit: GroupCommitConfig,
     metrics_out: str | None = None,
 ) -> dict:
     """One contended-consumer cell on a file-backed disk.
@@ -547,7 +532,7 @@ def run_hotpath_scenario(
     tmpdir = tempfile.TemporaryDirectory(prefix="repro-bench-")
     try:
         disk = FileDisk(tmpdir.name)
-        repo = QueueRepository("bench", disk, obs=obs, group_commit=group_commit)
+        repo = QueueRepository("bench", disk, obs=obs)
         queue = repo.create_queue("work", mode=DequeueMode(mode))
         filled = 0
         while filled < prefill:
@@ -635,7 +620,6 @@ def run_hotpath(args: argparse.Namespace) -> dict:
         ("skip_locked", "strict")
         if args.dequeue_mode == "both" else (args.dequeue_mode,)
     )
-    config = GroupCommitConfig(max_wait=args.max_wait, max_batch=args.max_batch)
     scenarios = []
     for mode in modes:
         # STRICT spends most of its time in abort/retry spins; a
@@ -649,7 +633,7 @@ def run_hotpath(args: argparse.Namespace) -> dict:
             # whose attribution docs/performance.md tracks.
             snapshot_cell = mode == "skip_locked" and depth == prefill * 10
             row = run_hotpath_scenario(
-                mode, depth, threads_n, mode_txns, config,
+                mode, depth, threads_n, mode_txns,
                 metrics_out=args.metrics_out if snapshot_cell else None,
             )
             print(f"  {row['txn_per_sec']:.0f} txn/s, "
@@ -686,10 +670,7 @@ def run_detlane_scenario(
     tmpdir = tempfile.TemporaryDirectory(prefix="repro-bench-")
     try:
         disk = FileDisk(tmpdir.name)
-        repo = ShardedRepository(
-            "bench", [disk], obs=obs,
-            group_commit=GroupCommitConfig(enabled=False),
-        )
+        repo = ShardedRepository("bench", [disk], obs=obs)
         lane = DeterministicLane(repo, obs=obs) if cc != "2pl" else None
         qm = QueueManager(repo, obs=obs, cc=cc, lane=lane)
         qnames = ["hot"] + [f"own{t}" for t in range(threads_n)]
@@ -983,11 +964,10 @@ def run_profile(args: argparse.Namespace) -> dict:
     if args.quick:
         threads_n = min(threads_n, 4)
         txns_n = min(txns_n, 40)
-    config = GroupCommitConfig(max_wait=args.max_wait, max_batch=args.max_batch)
 
     print(f"running profile/disabled ({threads_n} threads x {txns_n} "
           "txns)...", flush=True)
-    row_off = run_scenario("mem", config, threads_n, txns_n,
+    row_off = run_scenario("mem", threads_n, txns_n,
                            obs=Observability.disabled())
     row_off["obs_enabled"] = False
     print(f"  {row_off['txn_per_sec']:.0f} txn/s")
@@ -995,7 +975,7 @@ def run_profile(args: argparse.Namespace) -> dict:
     print(f"running profile/enabled ({threads_n} threads x {txns_n} "
           "txns)...", flush=True)
     obs = Observability()
-    row_on = run_scenario("mem", config, threads_n, txns_n, obs=obs)
+    row_on = run_scenario("mem", threads_n, txns_n, obs=obs)
     row_on["obs_enabled"] = True
     print(f"  {row_on['txn_per_sec']:.0f} txn/s")
 
@@ -1035,19 +1015,15 @@ def run(args: argparse.Namespace) -> dict:
     if args.quick:
         threads_n = min(threads_n, 4)
         txns_n = min(txns_n, 40)
-    configs = [
-        GroupCommitConfig(enabled=False),
-        GroupCommitConfig(max_wait=args.max_wait, max_batch=args.max_batch),
-    ]
     scenarios = []
     for disk_kind in ("mem", "file"):
-        for config in configs:
-            label = "group" if config.enabled else "baseline"
-            print(f"running {disk_kind}/{label} "
-                  f"({threads_n} threads x {txns_n} txns)...", flush=True)
-            row = run_scenario(disk_kind, config, threads_n, txns_n)
+        for threads in (1, threads_n):
+            print(f"running {disk_kind} "
+                  f"({threads} threads x {txns_n} txns)...", flush=True)
+            row = run_scenario(disk_kind, threads, txns_n)
             print(f"  {row['txn_per_sec']:.0f} txn/s, "
-                  f"{row['flushes']} flushes / {row['commits']} commits")
+                  f"{row['flushes']} flushes / {row['commits']} commits, "
+                  f"mean group {row['mean_group']:.2f}")
             scenarios.append(row)
     return {
         "version": SCHEMA_VERSION,
@@ -1215,14 +1191,14 @@ def run_netdeploy(args: argparse.Namespace) -> dict:
 
 _GROUPCOMMIT_FIELDS = {
     "disk": str,
-    "group_commit": bool,
-    "max_wait": (int, float),
-    "max_batch": int,
     "threads": int,
     "txns_per_thread": int,
     "commits": int,
     "flushes": int,
     "flushes_per_commit": (int, float),
+    "forced": int,
+    "piggybacked": int,
+    "mean_group": (int, float),
     "txn_per_sec": (int, float),
     "elapsed_s": (int, float),
 }
@@ -1347,15 +1323,21 @@ _SCHEMAS = {
 
 
 def _check_groupcommit_row(index: int, row: dict) -> list[str]:
+    # Every commit forces its record exactly once, either leading a
+    # flush or piggybacking on one; a lone committer always leads.
     errors: list[str] = []
-    batch = row.get("batch_size")
-    if batch is not None and (
-        not isinstance(batch, dict) or "buckets" not in batch
-    ):
-        errors.append(f"scenarios[{index}].batch_size malformed")
-    if row.get("group_commit") and not row.get("batch_size"):
+    forced, piggybacked = row.get("forced"), row.get("piggybacked")
+    if not isinstance(forced, int) or not isinstance(piggybacked, int):
+        return errors
+    if forced + piggybacked != row.get("commits"):
         errors.append(
-            f"scenarios[{index}]: group-commit run has no batch histogram"
+            f"scenarios[{index}]: {forced} forced + {piggybacked} "
+            f"piggybacked forces for {row.get('commits')} commits"
+        )
+    if row.get("threads") == 1 and piggybacked:
+        errors.append(
+            f"scenarios[{index}]: a single committer piggybacked "
+            f"{piggybacked} times"
         )
     return errors
 
@@ -1721,9 +1703,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--threads", type=int, default=8)
     parser.add_argument("--txns", type=int, default=200,
                         help="transactions per thread")
-    parser.add_argument("--max-wait", type=float, default=0.0005,
-                        help="group-commit wait window (seconds)")
-    parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument("--shards", type=int, default=0, metavar="N",
                         help="run the sharding benchmark over 1..N "
                              "file-backed repository shards instead of "

@@ -33,7 +33,7 @@ manager and the process supervisor are built):
   against remote facades, and ``kill_shard`` is a real ``SIGKILL``
   whose restart runs real recovery (see :mod:`repro.serve` and
   ``docs/deployment.md``).  In-process-only arguments (simulated
-  disks, injectors, group commit, checkpoints, replication) are refused.
+  disks, injectors, checkpoints, replication) are refused.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from repro.replication import FailoverController, ReplicaSet
 from repro.sim.crash import NULL_INJECTOR, FaultInjector
 from repro.sim.trace import TraceRecorder
 from repro.storage.disk import Disk, MemDisk
-from repro.storage.groupcommit import GroupCommitConfig
 from repro.transaction.cc import check_cc_policy
 from repro.transaction.deterministic import DeterministicLane
 
@@ -78,7 +77,6 @@ class TPSystem:
         max_aborts: int = 3,
         queue_mode: DequeueMode = DequeueMode.SKIP_LOCKED,
         count_crash_attempts: bool = False,
-        group_commit: GroupCommitConfig | None = None,
         shards: int = 1,
         shard_disks: Sequence[Disk] | None = None,
         placement: PlacementPolicy | None = None,
@@ -89,7 +87,6 @@ class TPSystem:
         cc: str = "2pl",
         deployment: str = "inproc",
         data_dir: str | None = None,
-        auto_restart: bool = False,
     ):
         if deployment not in ("inproc", "tcp"):
             raise ValueError(f"unknown deployment {deployment!r}")
@@ -100,7 +97,6 @@ class TPSystem:
             in_process_only = {
                 "request_disk": request_disk is not None,
                 "shard_disks": bool(shard_disks),
-                "group_commit": group_commit is not None,
                 "checkpoint_interval_bytes": checkpoint_interval_bytes is not None,
                 "replicate": replicate,
                 "injector": injector is not None and injector is not NULL_INJECTOR,
@@ -117,9 +113,6 @@ class TPSystem:
         self.request_queue = request_queue
         self.error_queue = error_queue
         self.deployment = deployment
-        self.group_commit = (
-            group_commit if group_commit is not None else GroupCommitConfig()
-        )
         self.cc = cc
         self.placement = placement
         #: what reopen/fail_over rebuild with, besides disks and standbys
@@ -131,7 +124,6 @@ class TPSystem:
             "max_aborts": max_aborts,
             "queue_mode": queue_mode,
             "count_crash_attempts": count_crash_attempts,
-            "group_commit": self.group_commit,
             "placement": placement,
             "checkpoint_interval_bytes": checkpoint_interval_bytes,
             "cc": cc,
@@ -149,10 +141,7 @@ class TPSystem:
             if data_dir is None:
                 self.data_dir = tempfile.mkdtemp(prefix="repro-tcp-")
             self.shard_disks: list[Disk] = []
-            self.supervisor = ShardSupervisor(
-                self.data_dir, shards, name="reqnode", cc=cc,
-                auto_restart=auto_restart,
-            )
+            self.supervisor = ShardSupervisor(self.data_dir, shards, name="reqnode", cc=cc)
             endpoints = [("127.0.0.1", s.port) for s in self.supervisor.shards]
             self.request_repo = RemoteRepository(
                 "reqnode", endpoints, placement=placement, obs=self.obs,
@@ -168,7 +157,7 @@ class TPSystem:
                 self.shard_disks.extend(MemDisk() for _ in range(shards - 1))
             self.request_repo = ShardedRepository(
                 "reqnode", self.shard_disks, self.injector, obs=self.obs,
-                group_commit=self.group_commit, placement=placement,
+                placement=placement,
                 checkpoint_interval_bytes=checkpoint_interval_bytes,
             )
             # The deterministic lane takes the queue-shaped transaction

@@ -83,6 +83,7 @@ class Gateway:
         self.refused = 0
         self._locations: dict[str, int] = {}
         self._refresher: asyncio.Task | None = None
+        self._closed = False
         obs = obs if obs is not None else get_observability()
         metrics = obs.metrics
         self._m_requests = metrics.counter(
@@ -149,8 +150,14 @@ class Gateway:
     async def _refresh_loop(self) -> None:
         """Periodically re-anchor the depth estimate to the truth (the
         local counter drifts when servers or other gateways consume the
-        queue behind this gateway's back)."""
-        while True:
+        queue behind this gateway's back).
+
+        The loop also ends on :meth:`close`'s flag, not only on its
+        cancel: a cancel that lands just after a depth answer arrived is
+        swallowed by ``asyncio.wait_for`` before Python 3.12 (the call
+        returns the answer instead of raising), and the loop would then
+        run on, leaving ``close`` waiting for it forever."""
+        while not self._closed:
             await asyncio.sleep(self.depth_refresh)
             try:
                 self.depth_estimate = await self._true_depth()
@@ -159,6 +166,7 @@ class Gateway:
                 continue  # shard restarting: keep the local estimate
 
     async def close(self) -> None:
+        self._closed = True
         if self._refresher is not None:
             self._refresher.cancel()
             try:

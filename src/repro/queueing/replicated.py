@@ -37,8 +37,9 @@ cost of a failover step (epoch-fenced promotion plus client resync)
 instead of an always-consistent peer.  Use :class:`ReplicatedQueue`
 when a single queue must survive a node loss with zero promotion
 window; use log shipping when whole-node redundancy should not tax
-every commit (``BENCH_failover.json`` holds the shipping overhead and
-RTO numbers next to X2's 2PC cost).
+every commit (``python benchmarks/run_bench.py --replicate`` measures
+the shipping overhead and RTO; ``benchmarks/bench_x2_replication.py``
+measures X2's 2PC cost).
 """
 
 from __future__ import annotations

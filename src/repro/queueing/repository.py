@@ -29,7 +29,6 @@ from repro.queueing.queue import QueueConfig, RecoverableQueue
 from repro.queueing.registration import RegistrationTable
 from repro.sim.crash import NULL_INJECTOR, FaultInjector
 from repro.storage.disk import Disk, MemDisk
-from repro.storage.groupcommit import GroupCommitConfig
 from repro.storage.kvstore import KVStore
 from repro.transaction.locks import LockManager
 from repro.transaction.log import LogManager
@@ -194,7 +193,6 @@ class QueueRepository:
         injector: FaultInjector | None = None,
         lock_manager: LockManager | None = None,
         obs: Observability | None = None,
-        group_commit: GroupCommitConfig | None = None,
         checkpoint_interval_bytes: int | None = None,
     ):
         self.name = name
@@ -210,8 +208,7 @@ class QueueRepository:
         )
         self.log = LogManager(
             self.disk, area=f"{name}.log", obs=self.obs,
-            injector=self.injector, group_commit=group_commit,
-            segment_bytes=segment_bytes,
+            injector=self.injector, segment_bytes=segment_bytes,
         )
         self.locks = (
             lock_manager if lock_manager is not None else LockManager()

@@ -67,7 +67,6 @@ from repro.queueing.placement import ConsistentHashPlacement, PlacementPolicy
 from repro.queueing.repository import QueueRepository
 from repro.sim.crash import NULL_INJECTOR, FaultInjector
 from repro.storage.disk import Disk, MemDisk
-from repro.storage.groupcommit import GroupCommitConfig
 from repro.transaction.log import LogManager
 from repro.transaction.routing import RoutedTransaction, ShardedTransactionManager
 from repro.transaction.twophase import TwoPhaseCoordinator
@@ -385,7 +384,6 @@ class ShardedRepository(ShardRouter):
         disks: list[Disk] | None = None,
         injector: FaultInjector | None = None,
         obs: Observability | None = None,
-        group_commit: GroupCommitConfig | None = None,
         placement: PlacementPolicy | None = None,
         checkpoint_interval_bytes: int | None = None,
     ):
@@ -404,7 +402,7 @@ class ShardedRepository(ShardRouter):
         self.shards: list[QueueRepository] = self._fan_out(
             lambda index: QueueRepository(
                 shard_name(name, index, self.shard_count), disks[index],
-                self.injector, obs=self.obs, group_commit=group_commit,
+                self.injector, obs=self.obs,
                 checkpoint_interval_bytes=checkpoint_interval_bytes,
             )
         )

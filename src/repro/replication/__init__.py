@@ -13,9 +13,9 @@ in this codebase:
   transactions normally and ships its write-ahead-log byte stream to a
   warm :class:`StandbyShard`; on primary death a
   :class:`FailoverController` promotes the standby in bounded time
-  (the RTO measured by ``BENCH_failover.json``) and *fences* the old
-  primary so a zombie's late writes are rejected.  Steady-state cost
-  is one extra (standby) flush per primary flush — not per
+  (the RTO measured by ``python benchmarks/run_bench.py --replicate``)
+  and *fences* the old primary so a zombie's late writes are rejected.
+  Steady-state cost is one extra (standby) flush per primary flush — not per
   transaction — and no extra 2PC.
 
 The shipping unit is the segmented WAL's record stream (PR 5): LSNs

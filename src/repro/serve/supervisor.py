@@ -1,4 +1,4 @@
-"""Spawn, monitor and restart shard processes.
+"""Spawn, kill and restart shard processes.
 
 The supervisor turns ``node.kill`` from a simulated fault into a real
 ``SIGKILL``: the shard process dies mid-write like a power failure,
@@ -29,7 +29,6 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.comm.transport import TcpTransport
 from repro.errors import CommError, ReproError
@@ -73,40 +72,26 @@ class ShardSupervisor:
         name: str = "reqnode",
         cc: str = "2pl",
         host: str = "127.0.0.1",
-        auto_restart: bool = False,
-        on_restart: Callable[[int], None] | None = None,
-        python: str = sys.executable,
     ):
         self.root_dir = root_dir
         self.name = name
         self.cc = check_cc_policy(cc)
         self.host = host
-        self.python = python
-        self.auto_restart = auto_restart
-        self.on_restart = on_restart
         self.shard_count = shards
         self.shards: list[ShardProcess] = []
-        self._closed = False
         self._mutex = threading.Lock()
-        self._monitor: threading.Thread | None = None
         for index in range(shards):
             data_dir = os.path.join(root_dir, f"s{index}")
             os.makedirs(data_dir, exist_ok=True)
             self.shards.append(ShardProcess(index=index, data_dir=data_dir))
         for shard in self.shards:
             self._spawn(shard)
-        if auto_restart:
-            self._monitor = threading.Thread(
-                target=self._monitor_loop, daemon=True,
-                name="shard-supervisor",
-            )
-            self._monitor.start()
 
     # -- process control -------------------------------------------------
 
     def _spawn(self, shard: ShardProcess) -> None:
         argv = [
-            self.python, "-m", "repro.serve.shardd",
+            sys.executable, "-m", "repro.serve.shardd",
             "--dir", shard.data_dir,
             "--port", str(shard.port),  # 0 on first boot, pinned after
             "--host", self.host,
@@ -178,24 +163,9 @@ class ShardSupervisor:
                     self.resolve_in_doubt(other.index)
                 except CommError:
                     pass
-        if self.on_restart is not None:
-            self.on_restart(index)
-
-    def _monitor_loop(self) -> None:
-        while not self._closed:
-            for shard in self.shards:
-                if self._closed:
-                    return
-                if shard.proc is not None and shard.proc.poll() is not None:
-                    try:
-                        self.restart(shard.index)
-                    except ReproError:
-                        pass  # retried on the next sweep
-            time.sleep(0.2)
 
     def close(self) -> None:
         """Terminate every shard process (end of test/benchmark)."""
-        self._closed = True
         for shard in self.shards:
             if shard.proc is not None and shard.proc.poll() is None:
                 shard.proc.kill()

@@ -1,11 +1,10 @@
-"""Deterministic simulation substrate: virtual time, crash injection,
-execution tracing, and the crash-at-every-step harness.
+"""Deterministic simulation substrate: crash injection, execution
+tracing, and the crash-at-every-step harness.
 
 The paper's guarantees (Section 3) are *fault-tolerance* guarantees, so
 the reproduction's test and benchmark suites must exercise failures
 systematically.  This package provides:
 
-* :class:`~repro.sim.clock.VirtualClock` — discrete virtual time.
 * :class:`~repro.sim.crash.FaultInjector` — named crash points; code under
   test calls ``injector.reach("point")`` and the harness arms a crash at
   any (point, hit-count) pair.
@@ -16,13 +15,11 @@ systematically.  This package provides:
   injected there, applying a caller-supplied recovery procedure.
 """
 
-from repro.sim.clock import VirtualClock
 from repro.sim.crash import FaultInjector, CrashPlan
 from repro.sim.trace import TraceRecorder, TraceEvent
 from repro.sim.harness import crash_every_step, CrashStepResult
 
 __all__ = [
-    "VirtualClock",
     "FaultInjector",
     "CrashPlan",
     "TraceRecorder",

@@ -16,9 +16,9 @@ This package provides exactly that model:
   :class:`~repro.storage.disk.FileDisk`, the same interface backed by
   real files with ``fsync`` for the runnable examples.
 * :mod:`repro.storage.wal` — a CRC-framed, torn-write-tolerant
-  write-ahead log on top of a disk area.
-* :mod:`repro.storage.groupcommit` — the group-commit coordinator that
-  coalesces concurrent force-at-commit flushes into single ``fsync``s.
+  write-ahead log on top of a disk area.  Its ``flush_until`` is group
+  commit: the flush runs under the log lock, so concurrent committers
+  share one ``fsync``.
 * :mod:`repro.storage.kvstore` — a recoverable key-value table that
   participates in transactions (redo logging through the shared
   :class:`~repro.transaction.log.LogManager`, in-memory undo).
@@ -26,7 +26,6 @@ This package provides exactly that model:
 
 from repro.storage.codec import encode, decode
 from repro.storage.disk import Disk, MemDisk, FileDisk
-from repro.storage.groupcommit import GroupCommitConfig, GroupCommitter
 from repro.storage.wal import WriteAheadLog, WalRecord
 
 __all__ = [
@@ -35,8 +34,6 @@ __all__ = [
     "Disk",
     "MemDisk",
     "FileDisk",
-    "GroupCommitConfig",
-    "GroupCommitter",
     "WriteAheadLog",
     "WalRecord",
 ]

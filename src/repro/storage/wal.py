@@ -151,7 +151,7 @@ class WriteAheadLog:
     (skip the flush if the commit record is already durable).  Because
     a roll seals the old segment only after flushing it, a single
     ``disk.flush`` of the live segment is always enough to advance the
-    flushed LSN to the append point — group commit's ``flush_until``
+    flushed LSN to the append point — ``flush_until`` (group commit)
     works unchanged across segment boundaries.
     """
 
@@ -162,6 +162,8 @@ class WriteAheadLog:
         self.area = area
         self.segment_bytes = max(1, int(segment_bytes))
         self._lock = threading.Lock()
+        #: serializes flush_until callers (see _flush_until)
+        self._flush_lock = threading.Lock()
         #: (index, base_lsn) per segment, ascending; last entry is live.
         self._segs: list[tuple[int, int]] = []
         self._panic: BaseException | None = None
@@ -541,15 +543,37 @@ class WriteAheadLog:
 
         Because a flush forces the whole live segment (and sealed
         segments are durable by construction), the flushed LSN advances
-        to the current append point, not just past ``lsn`` — the basis
-        of group commit (:mod:`repro.storage.groupcommit`): one flush
+        to the current append point, not just past ``lsn``: one flush
         covers every record appended so far.  Returns the flushed LSN.
         """
-        with self._lock:
-            self._check_panic()
-            if self._flushed_lsn <= lsn and self._flushed_lsn < self._next_lsn:
-                self._flush_disk()
-            return self._flushed_lsn
+        self._flush_until(lsn)
+        return self._flushed_lsn
+
+    def _flush_until(self, lsn: int) -> bool:
+        """:meth:`flush_until`, reporting whether this call ran the disk
+        flush (True) or found ``lsn`` already durable (False).
+
+        This is group commit (the force half of
+        :meth:`~repro.transaction.log.LogManager._force`): one flush
+        runs at a time, under the log lock, so a committer whose record
+        was appended before a flush began waits here, then finds its
+        record durable and returns without flushing.  If that flush
+        failed, the log is panicked and the waiter gets
+        :class:`~repro.errors.WalPanicError` instead.  Waiters queue on
+        a lock of their own rather than on the log lock, so appends
+        that were blocked by the flush land before the next flush
+        starts and share it; queued on the log lock, each appender
+        would mostly flush alone (docs/performance.md, *Group commit*).
+        """
+        with self._flush_lock:
+            if self._flushed_lsn > lsn:
+                return False
+            with self._lock:
+                self._check_panic()
+                if self._flushed_lsn <= lsn and self._flushed_lsn < self._next_lsn:
+                    self._flush_disk()
+                    return True
+                return False
 
     def append_flush(self, payload: bytes,
                      on_lsn: Callable[[int], None] | None = None) -> int:

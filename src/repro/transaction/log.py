@@ -32,6 +32,27 @@ seed's abort-by-omission, made literal.  Correctness is unchanged:
   the publish for the chaos harness (before: everything volatile;
   after: appended and forced — the transaction must survive recovery).
 
+Group commit
+------------
+
+Every forced record (commits, prepares, outcomes, auto records, the
+``eck`` marker) is appended and then passed to one
+:meth:`LogManager._force`, which calls
+:meth:`~repro.storage.wal.WriteAheadLog.flush_until`.  One flush runs
+at a time, under the WAL lock, so concurrent committers share it: one
+whose record was appended before a flush began waits for that flush,
+finds the record durable and returns without flushing (a *follower*;
+the committer that ran the flush is the *leader*).  ``commit()`` still
+returns only after its commit record is durable, but N concurrent
+commits can cost one flush instead of N (Gray, *Queues Are
+Databases*).  A failed flush panics the log, so no follower is
+acknowledged by it.
+
+Crash points ``wal.<area>.group_flush.before`` / ``.after`` bracket the
+flush and are reached only when the caller's record is not yet durable
+(before: appended, not durable — the transaction must die; after:
+durable — it must survive).
+
 Record kinds
 ------------
 
@@ -89,14 +110,14 @@ from __future__ import annotations
 import struct
 import threading
 from dataclasses import dataclass
+from time import perf_counter as _perf_counter
 from typing import Any, Callable, Hashable, Iterable
 
 from repro.errors import CheckpointError
-from repro.obs import Observability
+from repro.obs import Observability, get_observability
 from repro.sim.crash import NULL_INJECTOR, FaultInjector
 from repro.storage.codec import _encode_into, _write_varint, decode, encode
 from repro.storage.disk import Disk
-from repro.storage.groupcommit import GroupCommitConfig, GroupCommitter
 from repro.storage.wal import SUB_HEADER_SIZE, WriteAheadLog
 
 KIND_UPDATE = "upd"
@@ -231,24 +252,36 @@ class LogManager:
     def __init__(self, disk: Disk, area: str = "log",
                  obs: Observability | None = None,
                  injector: FaultInjector | None = None,
-                 group_commit: GroupCommitConfig | None = None,
                  segment_bytes: int | None = None):
         self.disk = disk
         self.area = area
+        obs = obs if obs is not None else get_observability()
         wal_kwargs = {} if segment_bytes is None else {"segment_bytes": segment_bytes}
         self.wal = WriteAheadLog(disk, area, obs=obs, **wal_kwargs)
-        self.group_commit = (
-            group_commit if group_commit is not None else GroupCommitConfig()
-        )
-        #: coalesces concurrent commit forces; None when disabled
-        self.group: GroupCommitter | None = (
-            GroupCommitter(self.wal, self.group_commit, injector=injector, obs=obs)
-            if self.group_commit.enabled
-            else None
-        )
         self.injector = injector if injector is not None else NULL_INJECTOR
         self._point_batch_before = f"wal.{area}.batch_append.before"
         self._point_batch_after = f"wal.{area}.batch_append.after"
+        self._point_flush_before = f"wal.{area}.group_flush.before"
+        self._point_flush_after = f"wal.{area}.group_flush.after"
+        metrics = obs.metrics
+        self._m_forced = metrics.counter(
+            "wal_group_commit_forced_total",
+            "commit forces that ran the group's flush themselves (leaders)",
+            ("area",)
+        ).labels(area=area)
+        self._m_piggybacked = metrics.counter(
+            "wal_group_commit_piggybacked_total",
+            "commit forces satisfied by another transaction's flush", ("area",)
+        ).labels(area=area)
+        self._obs_on = obs.enabled
+        wait = metrics.histogram(
+            "wal_group_commit_wait_seconds",
+            "time one committer spends in its commit force, by role: the "
+            "leader runs the flush, a follower piggybacks on it",
+            ("area", "role"),
+        )
+        self._m_wait_leader = wait.labels(area=area, role="leader")
+        self._m_wait_follower = wait.labels(area=area, role="follower")
         self._lock = threading.Lock()
         #: per-transaction batch buffers: ``upd`` records parked here
         #: until the commit/prepare publishes them as one WAL batch
@@ -281,13 +314,27 @@ class LogManager:
             def on_lsn(lsn: int, txn_id: int = txn_id) -> None:
                 with self._lock:
                     self._txn_first.setdefault(txn_id, lsn)
-        if not flush:
-            return self.wal.append(payload, on_lsn=on_lsn)
-        if self.group is not None:
-            # Force-at-commit via the group committer: append, then park
-            # until a (possibly shared) flush covers the record.
-            return self.group.append_sync(payload, on_lsn=on_lsn)
-        return self.wal.append_flush(payload, on_lsn=on_lsn)
+        lsn = self.wal.append(payload, on_lsn=on_lsn)
+        if flush:
+            self._force(lsn)
+        return lsn
+
+    def _force(self, lsn: int) -> None:
+        """Force-at-commit: return once the record appended at ``lsn``
+        is durable, leading a flush or piggybacking on one (module
+        docstring, *Group commit*)."""
+        start = _perf_counter() if self._obs_on else 0.0
+        if self.wal.flushed_lsn <= lsn:
+            self.injector.reach(self._point_flush_before)
+            if self.wal._flush_until(lsn):
+                self.injector.reach(self._point_flush_after)
+                self._m_forced.inc()
+                if self._obs_on:
+                    self._m_wait_leader.observe(_perf_counter() - start)
+                return
+        self._m_piggybacked.inc()
+        if self._obs_on:
+            self._m_wait_follower.observe(_perf_counter() - start)
 
     def _publish(self, buf: _TxnBuffer, kind: str, txn_id: int,
                  data: dict[str, Any]) -> int:
@@ -306,13 +353,9 @@ class LogManager:
                 self._txn_first.setdefault(txn_id, lsns[0])
 
         self.injector.reach(self._point_batch_before)
-        if self.group is not None:
-            lsns = self.group.append_batch_sync(
-                buf.body, buf.offsets, on_lsns=on_lsns
-            )
-        else:
-            lsns = self.wal.append_batch(buf.body, buf.offsets, on_lsns=on_lsns)
-            self.wal.flush()
+        lsns = self.wal.append_batch(buf.body, buf.offsets, on_lsns=on_lsns)
+        # Forcing the last record forces the whole batch.
+        self._force(lsns[-1])
         self.injector.reach(self._point_batch_after)
         return lsns[-1]
 

@@ -4,11 +4,10 @@ Design (see DESIGN.md §5):
 
 * **Redo-only WAL, in-memory undo.**  An RM applies each update to its
   volatile state immediately after logging a redo record.  Commit
-  writes + forces one ``cmt`` record (force-at-commit); the force goes
-  through the node's group-commit coordinator
-  (:mod:`repro.storage.groupcommit`), so concurrent committers share a
-  single flush while ``commit()`` still returns only after the record
-  is durable.  Abort runs the transaction's in-memory undo stack in
+  writes + forces one ``cmt`` record (force-at-commit); the force is
+  the log's group commit (:meth:`repro.transaction.log.LogManager._force`),
+  so concurrent committers share a single flush while ``commit()``
+  still returns only after the record is durable.  Abort runs the transaction's in-memory undo stack in
   reverse.  A crash simply discards volatile state; recovery replays
   only committed records, so uncommitted work vanishes with no undo
   pass.

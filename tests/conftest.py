@@ -101,3 +101,37 @@ def pinned_two_shard_system(**kwargs) -> TPSystem:
 def echo_handler(txn, request):
     """The simplest server handler: echo the request body."""
     return {"echo": request.body}
+
+
+class ForceRendezvous(FaultInjector):
+    """An injector that forms one commit group on demand.
+
+    After :meth:`gather`, the next ``parties`` committers to reach a log
+    force's ``group_flush.before`` point wait there for each other, so
+    all their records are appended before any flush starts: the first
+    to reach ``flush_until`` flushes them all (the leader) and the
+    others find their records durable (followers).  Later committers
+    pass straight through.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(record=False)
+        self._cond = threading.Condition()
+        self._parties = 0
+        self._arrived = 0
+
+    def gather(self, parties: int) -> None:
+        with self._cond:
+            self._parties, self._arrived = parties, 0
+
+    def reach(self, point: str) -> None:
+        if point.endswith(".group_flush.before"):
+            with self._cond:
+                if self._arrived < self._parties:
+                    self._arrived += 1
+                    self._cond.notify_all()
+                    formed = self._cond.wait_for(
+                        lambda: self._arrived >= self._parties, timeout=10
+                    )
+                    assert formed, "the commit group never formed"
+        super().reach(point)

@@ -1,7 +1,7 @@
 """Crash-at-every-step over the *combined* hardest server path:
 request and reply queues on separate nodes (the reply queue pinned to a
-second shard: distributed 2PC, Section 8) with group commit enabled on
-both nodes' logs.
+second shard: distributed 2PC, Section 8), every force on both nodes'
+logs going through the log's group commit.
 
 Every instrumented point — clerk, queue managers on both nodes, both
 transaction managers, the 2PC coordinator, and both group-flush points
@@ -22,7 +22,6 @@ from repro.core.guarantees import GuaranteeChecker
 from repro.core.system import TPSystem
 from repro.sim.harness import crash_every_step
 from repro.sim.trace import TraceRecorder
-from repro.storage.groupcommit import GroupCommitConfig
 
 from tests.conftest import pinned_two_shard_system
 
@@ -77,7 +76,6 @@ class TestCombined2PCGroupCommitSweep:
             system = pinned_two_shard_system(
                 injector=injector,
                 trace=trace,
-                group_commit=GroupCommitConfig(enabled=True, max_wait=0.0),
             )
             system.placement.pin("ledger", 0)  # beside the request queue
             device = TicketPrinter(trace=trace, injector=injector)

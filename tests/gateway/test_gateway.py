@@ -39,6 +39,23 @@ async def process_in_thread(server):
     )
 
 
+class HeldPool:
+    """A stand-in shard pool whose calls wait, as the real connection's
+    do, in ``asyncio.wait_for`` on an answer the test sets."""
+
+    def __init__(self):
+        self.answer: asyncio.Future | None = None
+        self.called = asyncio.Event()
+
+    async def call(self, payload, timeout=None):
+        self.answer = asyncio.get_running_loop().create_future()
+        self.called.set()
+        return await asyncio.wait_for(self.answer, timeout=10)
+
+    async def close(self):
+        pass
+
+
 class TestGatewaySessions:
     def test_async_round_trip(self, tcp_system):
         server = tcp_system.server("s1", lambda txn, r: {"done": r.body})
@@ -216,5 +233,29 @@ class TestAdmissionControl:
                 assert gateway.admitted == 3
             finally:
                 await gateway.close()
+
+        run(scenario())
+
+
+class TestClose:
+    def test_close_stops_a_refresher_whose_cancel_is_swallowed(self):
+        """A depth answer that lands in the loop turn before ``close``
+        cancels the refresher: ``asyncio.wait_for`` (before 3.12) returns
+        the answer instead of raising, and ``close`` must still end."""
+
+        async def scenario():
+            gateway = Gateway([("127.0.0.1", 1)], depth_refresh=0)
+            pool = HeldPool()
+            gateway.pools = [pool]
+            gateway._refresher = asyncio.ensure_future(gateway._refresh_loop())
+            await pool.called.wait()
+            pool.answer.set_result(7)
+            closing = asyncio.ensure_future(gateway.close())
+            await asyncio.wait({closing}, timeout=5)
+            ended = closing.done()
+            if not ended:
+                closing.cancel()  # its await of the refresher cancels that
+                await asyncio.wait({closing})
+            assert ended, "close() waited on a refresher that kept running"
 
         run(scenario())

@@ -10,7 +10,8 @@ from repro.queueing.placement import PinnedPlacement
 from repro.queueing.repository import QueueRepository
 from repro.queueing.sharded import ShardedRepository
 from repro.storage.disk import MemDisk
-from repro.storage.groupcommit import GroupCommitConfig
+
+from tests.conftest import ForceRendezvous
 
 
 def _hist(obs: Observability, name: str, **labels):
@@ -37,11 +38,10 @@ class TestCommitPhaseTimings:
 
     def test_group_commit_roles_are_timed(self):
         obs = Observability()
-        repo = QueueRepository(
-            "node", MemDisk(), obs=obs,
-            group_commit=GroupCommitConfig(max_wait=0.002, max_batch=8),
-        )
+        injector = ForceRendezvous()
+        repo = QueueRepository("node", MemDisk(), injector, obs=obs)
         table = repo.create_table("t")
+        injector.gather(2)  # the first two worker commits share a flush
         errors: list[BaseException] = []
 
         def committer(tid: int) -> None:
@@ -64,7 +64,7 @@ class TestCommitPhaseTimings:
         follower = _hist(obs, "wal_group_commit_wait_seconds",
                          area="node.log", role="follower")
         assert leader["count"] > 0
-        # 80 concurrent commits through a 2ms window: someone piggybacked
+        # the gathered pair guarantees one piggyback
         assert follower is not None and follower["count"] > 0
         # every sync was either led or piggybacked (the +1 is the
         # create_table DDL commit before the workers started)

@@ -20,7 +20,6 @@ from repro.core.request import Request, make_rid
 from repro.core.system import TPSystem
 from repro.sim.crash import FaultInjector
 from repro.storage.disk import MemDisk
-from repro.storage.groupcommit import GroupCommitConfig
 
 
 @pytest.fixture
@@ -66,7 +65,6 @@ class TestTcpDeployment:
     @pytest.mark.parametrize("name, value", [
         ("request_disk", MemDisk()),
         ("shard_disks", [MemDisk(), MemDisk()]),
-        ("group_commit", GroupCommitConfig(enabled=True)),
         ("checkpoint_interval_bytes", 4096),
         ("replicate", True),
         ("injector", FaultInjector()),
@@ -76,6 +74,12 @@ class TestTcpDeployment:
         # not silently dropped.
         with pytest.raises(ValueError, match=name):
             TPSystem(deployment="tcp", **{name: value})
+
+    @pytest.mark.parametrize("deployment", ["inproc", "tcp"])
+    def test_group_commit_is_not_a_setting(self, deployment):
+        # Group commit is the log's own force, in every deployment.
+        with pytest.raises(TypeError, match="group_commit"):
+            TPSystem(deployment=deployment, **{"group_commit": object()})
 
     def test_kill_shard_requires_tcp(self):
         system = TPSystem()

@@ -27,7 +27,6 @@ from repro.errors import (
 from repro.queueing.repository import QueueRepository
 from repro.storage.disk import MemDisk
 from repro.storage.faults import DiskFault, FaultyDisk
-from repro.storage.groupcommit import GroupCommitConfig
 from repro.storage.kvstore import KVStore
 from repro.storage.wal import WriteAheadLog
 from repro.transaction.locks import LockManager
@@ -35,9 +34,11 @@ from repro.transaction.log import LogManager
 from repro.transaction.manager import TransactionManager
 from repro.transaction.recovery import recover
 
+from tests.conftest import ForceRendezvous
 
-def _fresh(disk, group_commit=None):
-    log = LogManager(disk, group_commit=group_commit)
+
+def _fresh(disk, injector=None):
+    log = LogManager(disk, injector=injector)
     tm = TransactionManager(log, LockManager(default_timeout=0.2))
     return log, tm
 
@@ -137,10 +138,7 @@ class TestGroupCommitForceFailure:
         faulty = FaultyDisk(
             MemDisk(), faults=[DiskFault(op="flush", hit=10, area="repo.log.000001")]
         )
-        repo = QueueRepository(
-            "repo", faulty,
-            group_commit=GroupCommitConfig(max_wait=0.005, max_batch=8),
-        )
+        repo = QueueRepository("repo", faulty)
         store = repo.create_table("t")
         acked: list[str] = []
         errors: list[Exception] = []
@@ -180,9 +178,9 @@ class TestGroupCommitForceFailure:
         faulty = FaultyDisk(
             MemDisk(), faults=[DiskFault(op="flush", hit=1, area="log.000001")]
         )
-        log, tm = _fresh(
-            faulty, group_commit=GroupCommitConfig(max_wait=0.05, max_batch=2)
-        )
+        injector = ForceRendezvous()
+        log, tm = _fresh(faulty, injector)
+        injector.gather(2)
         store = KVStore("t")
         outcomes: dict[int, str] = {}
         barrier = threading.Barrier(2)

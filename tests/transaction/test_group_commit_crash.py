@@ -1,6 +1,7 @@
 """Crash safety of group commit: a crash between the batch append and
 the batch flush must never surface a committed-but-lost transaction,
-and recovery replays exactly the flushed prefix."""
+and recovery replays exactly the flushed prefix.  Groups form from
+plain concurrent committers sharing the log's force."""
 
 from __future__ import annotations
 
@@ -12,15 +13,14 @@ from repro.errors import DiskCrashedError, SimulatedCrash
 from repro.queueing.repository import QueueRepository
 from repro.sim.crash import FaultInjector
 from repro.storage.disk import MemDisk
-from repro.storage.groupcommit import GroupCommitConfig
 from repro.storage.kvstore import KVStore
 from repro.transaction.locks import LockManager
 from repro.transaction.log import LogManager
 from repro.transaction.manager import TransactionManager
 
 
-def fresh(disk, injector=None, group_commit=None):
-    log = LogManager(disk, injector=injector, group_commit=group_commit)
+def fresh(disk, injector=None):
+    log = LogManager(disk, injector=injector)
     tm = TransactionManager(log, LockManager(default_timeout=2.0), injector)
     return log, tm
 
@@ -77,10 +77,7 @@ class TestCrashAroundGroupFlush:
         injector = FaultInjector(record=False)
         injector.on_crash.append(lambda _point: disk.crash())
         injector.arm("wal.repo.log.group_flush.before", hit=5)
-        repo = QueueRepository(
-            "repo", disk, injector,
-            group_commit=GroupCommitConfig(max_wait=0.005, max_batch=8),
-        )
+        repo = QueueRepository("repo", disk, injector)
         store = repo.create_table("t")
         acked: list[str] = []
         acked_lock = threading.Lock()
@@ -117,10 +114,7 @@ class TestCrashAroundGroupFlush:
         injector = FaultInjector(record=False)
         injector.on_crash.append(lambda _point: disk.crash())
         injector.arm("wal.repo.log.group_flush.before", hit=7)
-        repo = QueueRepository(
-            "repo", disk, injector,
-            group_commit=GroupCommitConfig(max_wait=0.002, max_batch=4),
-        )
+        repo = QueueRepository("repo", disk, injector)
         store = repo.create_table("t")
 
         def committer(tid: int) -> None:
