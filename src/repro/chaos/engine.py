@@ -50,7 +50,7 @@ import json
 import logging
 import random
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.chaos.schedule import (
     KIND_CLIENT_CRASH,
@@ -352,9 +352,6 @@ class ChaosEngine:
         self._partition_heal_at: int | None = None
         #: pending standby.lag heals: (heal_step, shard index)
         self._lag_heal: list[tuple[int, int]] = []
-        #: standby disks / controller carried across failover rebuilds
-        self._standby_carry: list | None = None
-        self._controller_carry = None
         #: injected-fault counts of disks retired by failovers
         self._retired_faults = 0
         self.restarts = 0
@@ -409,12 +406,6 @@ class ChaosEngine:
             for i in range(self.config.servers)
         ]
         self.servers.append(system.error_reply_server("err-replier"))
-        if system.replicas is not None:
-            # Keep the carry fresh: a later rebuild (restart or another
-            # failover) must re-attach the same standby images and the
-            # same durable promotion ledger.
-            self._standby_carry = system.replicas.standby_disks()
-            self._controller_carry = system.failover_controller
         if self.config.planted_bug:
             self._apply_planted_bug(system)
         for actor in self.clients:
@@ -440,34 +431,19 @@ class ChaosEngine:
     # Crash / restart protocol
     # ------------------------------------------------------------------
 
-    def _boot(self) -> None:
+    def _boot(self, first: Callable[[], TPSystem] | None = None) -> None:
         """(Re)build the queue node from its disk and wire the workload
         onto it, surviving faults injected into recovery and boot-time
-        registration themselves.  Each failed attempt advances the
+        registration themselves.  ``first`` replaces the first attempt
+        (a failover's promote-and-boot); every retry reopens the layout
+        the system last recorded.  Each failed attempt advances the
         injectors' hit counters, so retrying makes progress — exactly
         like an operator restarting a node that crashed during
         recovery."""
+        attempt = first if first is not None else self._open
         for _ in range(_RESTART_ATTEMPTS):
             try:
-                if self.system is None:
-                    system = TPSystem(
-                        shard_disks=self.faulty_disks,
-                        injector=self.injector,
-                        trace=self.trace,
-                        obs=self.obs,
-                        request_queue=self.config.request_queue,
-                        max_aborts=self.config.max_aborts,
-                        checkpoint_interval_bytes=(
-                            self.config.checkpoint_interval_bytes
-                        ),
-                        replicate=self.config.replicate,
-                        standby_disks=self._standby_carry,
-                        replica_controller=self._controller_carry,
-                        cc=self.config.cc,
-                    )
-                else:
-                    system = self.system.reopen(injector=self.injector)
-                self._wire(system)
+                self._wire(attempt())
                 return
             except SimulatedCrash:
                 self._crash_disk()
@@ -475,8 +451,26 @@ class ChaosEngine:
                 raise
             except StorageError:
                 self._crash_disk()
+            attempt = self._open
         raise _RestartWedged(
             f"recovery did not complete within {_RESTART_ATTEMPTS} attempts"
+        )
+
+    def _open(self) -> TPSystem:
+        """One boot attempt: restart the node's last system, or build
+        the first one."""
+        if self.system is not None:
+            return self.system.reopen(injector=self.injector)
+        return TPSystem(
+            shard_disks=self.faulty_disks,
+            injector=self.injector,
+            trace=self.trace,
+            obs=self.obs,
+            request_queue=self.config.request_queue,
+            max_aborts=self.config.max_aborts,
+            checkpoint_interval_bytes=self.config.checkpoint_interval_bytes,
+            replicate=self.config.replicate,
+            cc=self.config.cc,
         )
 
     def _crash_disk(self) -> None:
@@ -506,11 +500,11 @@ class ChaosEngine:
         then proceeds from whatever the standby last acknowledged (the
         tee buffer needs no primary reads).  A planned ``failover``
         fences and drains the live primary before retiring it, so the
-        standby is level at the hand-off.  Either way the old device is
-        permanently retired, the promoted image is wrapped in a fresh
-        fault-free device, and the node is rebuilt through the retrying
-        boot protocol with the surviving standbys and the durable
-        promotion ledger carried across.
+        standby is level at the hand-off.  Either way
+        :meth:`TPSystem.fail_over` promotes and boots the new layout as
+        the first attempt of the retrying boot protocol, and the old
+        device is permanently retired: the promoted image gets a fresh
+        fault-free device.
         """
         system = self.system
         if system is None or system.replicas is None:
@@ -519,32 +513,29 @@ class ChaosEngine:
         reason = "failover" if planned else "node.kill"
         self.flight.record("node.failover", shard=index, planned=planned,
                            step=self.steps, reason=reason)
-        deposed = self.faulty_disks[index]
-        if not planned and deposed.crashed is False:
-            deposed.crash()
-        promoted = system.replicas.fail_over(index, reason=reason)
-        carry = list(system.replicas.standby_disks())
-        carry[index] = None  # its image is now the primary
-        system.replicas.detach()
-        self._standby_carry = carry
-        self._controller_carry = system.failover_controller
+        if not planned and self.faulty_disks[index].crashed is False:
+            self.faulty_disks[index].crash()
         # The promotion is the epoch boundary the guarantees must
         # survive; promotion_safety() keys off this trace event.
         self.trace.record("node.failover", f"s{index}", shard=index,
                           planned=planned)
-        if deposed.crashed is False:
-            deposed.crash()  # a planned switchover still retires the node
-        self._retired_faults += len(deposed.injected)
-        self.faulty_disks[index] = FaultyDisk(
-            promoted, faults=[], seed=self.seed + 1000 + index, obs=self.obs,
-        )
-        self.faulty = self.faulty_disks[0]
         self.restarts += 1
         self._m_restarts.inc()
-        self.system = None  # the next boot is a fresh build over the
-        for faulty in self.faulty_disks:  # new disk set
-            faulty.revive()
-        self._boot()
+
+        def replace_device(promoted):
+            self._retired_faults += len(self.faulty_disks[index].injected)
+            self.faulty_disks[index] = FaultyDisk(
+                promoted, faults=[], seed=self.seed + 1000 + index, obs=self.obs,
+            )
+            self.faulty = self.faulty_disks[0]
+            for faulty in self.faulty_disks:
+                faulty.revive()  # failed survivors are replaced too
+            return self.faulty_disks[index]
+
+        self._boot(lambda: system.fail_over(
+            index, reason=reason, injector=self.injector,
+            wrap_promoted=replace_device,
+        ))
 
     def _start_lag(self, target: int, heal_step: int) -> None:
         """standby.lag fault: shipping to one standby pauses (flushed

@@ -239,16 +239,11 @@ class Clerk:
             )
         except QueueEmpty:
             registration = self.reply_qm.registration_info(self._h_out)
-            if (
-                registration is not None
-                and registration.last_op == "deq"
-                and registration.last_tag == tag
-                and registration.last_eid is not None
-            ):
-                # Our own lost-response attempt already dequeued it.
-                element = self.reply_qm.read(self._h_out, registration.last_eid)
-            else:
+            eid = None if registration is None else registration.dequeued_eid(tag)
+            if eid is None:
                 raise
+            # Our own lost-response attempt already dequeued it.
+            element = self.reply_qm.read(self._h_out, eid)
         self._last_reply_eid = element.eid
         self.injector.reach("clerk.receive.after_dequeue")
         reply = Reply.from_body(element.body)

@@ -167,9 +167,7 @@ class TPSystem:
                 self.det_lane = DeterministicLane(
                     self.request_repo, obs=self.obs, injector=self.injector
                 )
-            self.request_qm = QueueManager(
-                self.request_repo, cc=cc, lane=self.det_lane
-            )
+            self.request_qm = QueueManager(self.request_repo, lane=self.det_lane)
         self.request_disk = self.shard_disks[0] if self.shard_disks else None
 
         if request_queue not in self.request_repo.queues:
@@ -189,12 +187,15 @@ class TPSystem:
         # the attach-time resync ships the boot records in one pass.
         self.replicas: ReplicaSet | None = None
         self.failover_controller = replica_controller
+        #: the standby disks reopen re-attaches (fail_over edits them)
+        self._standby_disks: list[Disk | None] | None = None
         if replicate:
             self.replicas = ReplicaSet(
                 self.request_repo, standby_disks=standby_disks,
                 controller=replica_controller, obs=self.obs,
             )
             self.failover_controller = self.replicas.controller
+            self._standby_disks = list(self.replicas.standby_disks())
 
     # ------------------------------------------------------------------
     # Shard processes (tcp deployment; repro.serve)
@@ -334,6 +335,10 @@ class TPSystem:
         restart must discard the unflushed buffers whose durability is
         unknowable, exactly as a power failure would, so recovery sees
         only the durable prefix.
+
+        "The same disks" are the layout the system last recorded: after
+        a :meth:`fail_over` whose boot crashed, that is the promoted
+        layout, so ``reopen`` finishes the failover.
         """
         self._require("inproc", "reopen")
         # Stop the old process's background checkpointers before the
@@ -356,8 +361,7 @@ class TPSystem:
             injector=injector,
             shard_disks=self.shard_disks,
             replicate=self.replicas is not None,
-            standby_disks=(self.replicas.standby_disks()
-                           if self.replicas is not None else None),
+            standby_disks=self._standby_disks,
             replica_controller=self.failover_controller,
         )
 
@@ -369,35 +373,31 @@ class TPSystem:
         injector: FaultInjector | None = None,
         wrap_promoted: Callable[[Disk], Disk] | None = None,
     ) -> "TPSystem":
-        """Promote shard ``index``'s warm standby and rebuild the
-        system with the promoted image as that shard's disk.
+        """Promote shard ``index``'s warm standby and boot the system
+        with the promoted image as that shard's disk.
 
         The deposed primary is fenced (its WAL refuses all further
-        writes), its disk is dropped from the new system, and the
-        rebuild's restart recovery — bounded by the shipped checkpoint
-        — plus the per-shard epoch bump and in-doubt 2PC resolution
-        happen exactly as on any boot.  Surviving shards keep their
-        disks and standbys; the promoted shard gets a fresh, empty
-        standby that catches up on the first pump.  The elapsed wall
-        time lands in the ``failover_rto_seconds`` histogram.
+        writes) and its disk is dropped.  The promoted layout — the
+        image as shard ``index``, the other shards' disks and standbys,
+        the same :class:`~repro.replication.FailoverController` — is
+        recorded on this system, then booted by :meth:`reopen`: restart
+        recovery bounded by the shipped checkpoint, the per-shard epoch
+        bump and in-doubt 2PC resolution, as on any boot.  A crash in
+        that boot is retried with ``reopen()``.  The promoted shard gets
+        a fresh, empty standby that catches up on the first pump.  The
+        elapsed wall time lands in the ``failover_rto_seconds``
+        histogram.
 
         ``wrap_promoted`` lets a harness re-wrap the promoted image
         (e.g. in a :class:`~repro.storage.faults.FaultyDisk`) before
-        the new system boots from it.
+        the boot.
         """
         if self.replicas is None:
             raise ValueError(
                 "fail_over requires a system built with replicate=True"
             )
         started = perf_counter()
-        controller = self.failover_controller
         promoted = self.replicas.fail_over(index, reason=reason)
-        standby_disks: list[Disk | None] = [
-            None if position == index else standby.disk
-            for position, standby in enumerate(self.replicas.standbys)
-        ]
-        self.replicas.detach()
-        self.request_repo.close()
         # The old primary is dead by definition of a failover; make
         # sure nothing can quietly keep using its disk.
         deposed = self.shard_disks[index]
@@ -405,28 +405,11 @@ class TPSystem:
             deposed.crash()
         if wrap_promoted is not None:
             promoted = wrap_promoted(promoted)
-        disks: list[Disk] = list(self.shard_disks)
-        disks[index] = promoted
-        for position, disk in enumerate(disks):
-            if position == index:
-                continue
-            crashed = getattr(disk, "crashed", None)
-            if self.request_repo.shards[position].log.wal.panicked and crashed is False:
-                disk.crash()
-                crashed = True
-            if crashed and hasattr(disk, "recover"):
-                disk.recover()
-        system = TPSystem(
-            **self._config,
-            injector=injector,
-            shard_disks=disks,
-            replicate=True,
-            standby_disks=standby_disks,
-            replica_controller=controller,
-        )
+        self.shard_disks[index] = promoted
+        self._standby_disks[index] = None
+        system = self.reopen(injector)
         rto = perf_counter() - started
-        if controller is not None:
-            controller.observe_rto(index, rto)
+        self.failover_controller.observe_rto(index, rto)
         self.obs.flight.record("failover.complete", shard=index, rto=rto)
         return system
 

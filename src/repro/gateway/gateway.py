@@ -32,11 +32,12 @@ from typing import Any
 from repro.comm import remote
 from repro.comm.wire import DEFAULT_MAX_FRAME
 from repro.core.request import Request, make_rid
-from repro.errors import Busy, CommError, ReproError
+from repro.errors import Busy, CommError, QueueEmpty, ReproError
 from repro.obs import Observability, get_observability
 from repro.queueing.element import Element
 from repro.queueing.manager import QueueHandle
 from repro.queueing.placement import ConsistentHashPlacement, PlacementPolicy
+from repro.queueing.registration import Registration
 from repro.queueing.sharded import route
 
 _DEFAULT_RECEIVE_TIMEOUT = 30.0
@@ -273,14 +274,28 @@ class GatewaySession:
     ) -> dict[str, Any]:
         """Await the next reply for this client (async Receive).  The
         received reply releases one in-flight slot and debits the depth
-        estimate (a reply implies the back end consumed a request)."""
+        estimate (a reply implies the back end consumed a request).
+
+        As in :meth:`~repro.core.clerk.Clerk.receive`, an earlier
+        attempt that dequeued the reply but lost the answer leaves the
+        queue empty; the registration then names the reply, which is
+        read back."""
         gateway = self.gateway
-        record = await gateway._call(
-            self.reply_queue,
-            remote.op_dequeue(self._handle(self.reply_queue),
-                              tag=[self.last_rid, None], block=True, timeout=timeout),
-            timeout=remote.dequeue_wire_timeout(True, timeout),
-        )
+        handle = self._handle(self.reply_queue)
+        tag = [self.last_rid, None]
+        try:
+            record = await gateway._call(
+                self.reply_queue,
+                remote.op_dequeue(handle, tag=tag, block=True, timeout=timeout),
+                timeout=remote.dequeue_wire_timeout(True, timeout),
+            )
+        except QueueEmpty:
+            info = await gateway._call(
+                self.reply_queue, remote.op_registration_info(handle))
+            eid = None if info is None else Registration.from_record(info).dequeued_eid(tag)
+            if eid is None:
+                raise
+            record = await gateway._call(self.reply_queue, remote.op_read(handle, eid))
         gateway._release(consumed_request=True)
         return Element.from_record(record).body
 

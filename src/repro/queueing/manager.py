@@ -14,8 +14,8 @@
 * a registrant-supplied *tag* rides every Enqueue/Dequeue atomically
   into the persistent registration record (Section 4.3).
 
-When the facade is built with a deterministic lane
-(``cc="deterministic"``), auto-commit single-queue enqueues and
+When the facade is built with a deterministic lane (``lane=``, what a
+``cc="deterministic"`` system passes), auto-commit single-queue enqueues and
 non-waiting dequeues — the queue-shaped transaction class — are
 routed to the lane's plan queues instead of opening a 2PL transaction;
 see :mod:`repro.transaction.deterministic` for the routing rationale.
@@ -54,15 +54,12 @@ class QueueManager:
         self,
         repo: QueueRepository,
         obs: Observability | None = None,
-        cc: str = "2pl",
         lane: Any = None,
     ):
         self.repo = repo
-        #: concurrency-control policy: "2pl" (seed behavior), or
-        #: "deterministic", which routes the queue-shaped transaction
-        #: class through ``lane``
-        self.cc = cc
-        self.lane = lane if cc != "2pl" else None
+        #: the deterministic lane the queue-shaped transaction class runs
+        #: on, or None: everything runs under 2PL
+        self.lane = lane
         obs = obs if obs is not None else repo.obs
         self._obs_on = obs.enabled
         self._tracer = obs.tracer

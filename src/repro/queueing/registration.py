@@ -77,6 +77,17 @@ class Registration:
         decoded on first access), or None."""
         return None if self.last_element is None else Element.from_record(self.last_element)
 
+    def dequeued_eid(self, tag: Any) -> int | None:
+        """The eid the registrant's last operation dequeued under
+        ``tag``, or None when that operation was anything else.  A
+        Receive whose earlier attempt committed but lost its answer
+        finds its reply here and reads it back — Section 4.3's "a
+        registrant may Read the element identified by this eid, even if
+        the last operation was a Dequeue"."""
+        if self.last_op == "deq" and self.last_tag == tag:
+            return self.last_eid
+        return None
+
 
 class RegistrationTable:
     """Resource manager holding every registration of a repository."""

@@ -100,7 +100,7 @@ def serve(args: argparse.Namespace) -> TcpListener:
     # The same boot the in-process sharded facade gives each shard.
     epoch = boot_epoch(repo)
     lane = DeterministicLane(repo) if args.cc != "2pl" else None
-    qm = QueueManager(repo, cc=args.cc, lane=lane)
+    qm = QueueManager(repo, lane=lane)
     service = ShardService(repo, epoch=epoch, qm=qm)
     listener = TcpListener(
         service.handle, host=args.host, port=args.port,

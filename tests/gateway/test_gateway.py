@@ -10,7 +10,7 @@ import tempfile
 import pytest
 
 from repro.core.system import TPSystem
-from repro.errors import Busy
+from repro.errors import Busy, PartitionedError
 from repro.gateway import Gateway
 
 
@@ -107,6 +107,48 @@ class TestGatewaySessions:
                     *(client(gateway, f"g{i}") for i in range(4))
                 )
                 assert sorted(done) == [f"g{i}" for i in range(4)]
+            finally:
+                await gateway.close()
+
+        run(scenario())
+
+    def test_a_receive_after_a_lost_answer_reads_the_reply_back(self, tcp_system):
+        """The shard committed the reply's dequeue but its answer was
+        lost: the next Receive finds the queue empty and reads the reply
+        back through the registration — two extra calls, on that path
+        only."""
+        server = tcp_system.server("s1", lambda txn, r: {"done": r.body})
+
+        async def scenario():
+            gateway = Gateway(
+                endpoints(tcp_system),
+                request_queue=tcp_system.request_queue,
+            )
+            await gateway.start()
+            try:
+                session = await gateway.session("g1")
+                rid = await session.submit({"work": 1})
+                assert await process_in_thread(server) is True
+                pool = gateway.pools[gateway._shard_of(session.reply_queue)]
+                real_call = pool.call
+                ops = []
+
+                async def lose_the_first_dequeue_answer(payload, timeout=None):
+                    if payload["op"] != "depth":
+                        ops.append(payload["op"])
+                    answer = await real_call(payload, timeout=timeout)
+                    if ops == ["dequeue"]:
+                        raise PartitionedError("answer lost")
+                    return answer
+
+                pool.call = lose_the_first_dequeue_answer
+                with pytest.raises(PartitionedError):
+                    await session.receive(timeout=1)
+                reply = await session.receive(timeout=1)
+                assert reply["rid"] == rid
+                assert reply["body"] == {"done": {"work": 1}}
+                assert ops == ["dequeue", "dequeue", "registration_info", "read"]
+                assert gateway.inflight == 0
             finally:
                 await gateway.close()
 

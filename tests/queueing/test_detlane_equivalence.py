@@ -43,7 +43,7 @@ class _Sys:
         lane = (
             DeterministicLane(self.repo) if self.cc != "2pl" else None
         )
-        self.qm = QueueManager(self.repo, cc=self.cc, lane=lane)
+        self.qm = QueueManager(self.repo, lane=lane)
         if fresh:
             self.repo.create_queue("q", mode=DequeueMode(self.mode))
         self.handle, _, _ = self.qm.register("q", "client")
@@ -170,10 +170,7 @@ def test_lane_reports_deterministic_transactions():
 
     obs = Observability()
     repo = QueueRepository("m", MemDisk(), obs=obs)
-    qm = QueueManager(
-        repo, obs=obs, cc="deterministic",
-        lane=DeterministicLane(repo, obs=obs),
-    )
+    qm = QueueManager(repo, obs=obs, lane=DeterministicLane(repo, obs=obs))
     repo.create_queue("q")
     handle, _, _ = qm.register("q", "client")
     qm.enqueue(handle, "x", tag="t1")

@@ -3,9 +3,11 @@ TPSystem-level promote-and-rebuild path."""
 
 from __future__ import annotations
 
+from repro.core.request import Request, make_rid
 from repro.core.system import TPSystem
-from repro.errors import WalFencedError
+from repro.errors import SimulatedCrash, WalFencedError
 from repro.replication import FailoverController
+from repro.sim.crash import FaultInjector
 from repro.storage.disk import MemDisk
 
 import pytest
@@ -101,3 +103,32 @@ class TestTPSystemFailOver:
         assert reopened.failover_controller is controller
         assert reopened.replicas.standby_disks()[0] is standby_disk
         assert reopened.replicas.lag_bytes() == [0]
+
+    def test_a_crash_in_the_promoted_boot_is_finished_by_reopen(self):
+        system = TPSystem(shards=2, replicate=True)
+        rids = []
+        for client_id in ("c0", "c1", "c2", "c3"):
+            clerk = system.clerk(client_id)
+            clerk.connect()
+            rid = make_rid(client_id, 1)
+            clerk.send(Request(rid=rid, body=rid, client_id=client_id,
+                               reply_to=clerk.reply_queue), rid)
+            rids.append(rid)
+        k = system.request_repo.shard_of(system.request_queue)
+        image = system.replicas.standby_disks()[k]
+        injector = FaultInjector()
+        injector.arm(f"wal.reqnode.s{k}.log.group_flush.before")
+        with pytest.raises(SimulatedCrash):
+            system.fail_over(k, reason="test.kill", injector=injector)
+        system.crash()  # the booting node dies with every disk it holds
+        recovered = system.reopen()
+        assert recovered.request_repo.disks[k] is image
+        assert recovered.failover_controller.generation(k) == 1
+        server = recovered.server("s", lambda txn, request: request.body)
+        assert recovered.drain(server) == len(rids)
+        for rid in rids:
+            clerk = recovered.clerk(rid.split("#")[0])
+            clerk.connect()
+            assert clerk.receive(timeout=0).rid == rid
+        assert sorted(recovered.trace.rids("request.executed")) == rids
+        recovered.checker().assert_ok(require_completion=False)
