@@ -202,7 +202,6 @@ class _ClientActor:
             self.id,
             engine.rqms[self.index],
             engine.config.request_queue,
-            engine.rqms[self.index],
             f"reply.{self.id}",
             trace=engine.trace,
             injector=engine.injector,

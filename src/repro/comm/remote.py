@@ -85,6 +85,18 @@ def handle_from_record(record: dict[str, str]) -> QueueHandle:
     )
 
 
+#: the operations whose wire answer is a record, and how each is read
+#: back into what the :class:`QueueManager` method returns
+ANSWERS: dict[str, Callable[[Any], Any]] = {
+    "register": lambda record: (
+        handle_from_record(record["handle"]), record["tag"], record["eid"]),
+    "dequeue": Element.from_record,
+    "read": Element.from_record,
+    "registration_info": lambda record: (
+        None if record is None else Registration.from_record(record)),
+}
+
+
 # Payload builders: the one writer of the wire-op vocabulary.  Key order
 # is part of the frame bytes (pinned by tests/comm/test_wire_ops.py).
 
@@ -299,7 +311,7 @@ class RemoteQueueManager:
     Duck-type compatible with :class:`QueueManager` for every operation
     the clerk and the server loop perform — a
     :class:`~repro.core.clerk.Clerk` works unchanged with one of these
-    as its ``request_qm`` / ``reply_qm``.
+    as its ``qm``.
 
     This base stub speaks to one service over one transport and is
     auto-commit only (``txn`` must be ``None``): the clerk's Sends and
@@ -346,10 +358,7 @@ class RemoteQueueManager:
     ) -> tuple[QueueHandle, Any, int | None]:
         self._no_txn(txn)
         call, _ = self._route(qname)
-        result = call(op_register(qname, registrant, stable))
-        return (
-            handle_from_record(result["handle"]), result["tag"], result["eid"]
-        )
+        return ANSWERS["register"](call(op_register(qname, registrant, stable)))
 
     def deregister(self, handle: QueueHandle, txn=None) -> None:
         self._no_txn(txn)
@@ -402,8 +411,7 @@ class RemoteQueueManager:
 
     def registration_info(self, handle: QueueHandle) -> Registration | None:
         call, _ = self._route(handle.queue)
-        record = call(op_registration_info(handle))
-        return None if record is None else Registration.from_record(record)
+        return ANSWERS["registration_info"](call(op_registration_info(handle)))
 
     def read(self, handle: QueueHandle, eid: int) -> Element:
         call, _ = self._route(handle.queue)

@@ -27,12 +27,19 @@ Section 5's Send variants are provided for benchmark C8:
 ``send_oneway`` (fire-and-forget through a transport; the client learns
 the outcome from the reply or at reconnect), and ``transceive``
 (merged Send+Receive).
+
+Each operation is written once, as a sans-IO *step generator*: it
+yields every queue-manager call it makes as ``(method name, args,
+kwargs)`` and is sent the answer back, or has the call's exception
+thrown into it.  :class:`Clerk` runs the steps with direct calls on its
+queue manager; :class:`repro.gateway.GatewaySession` runs the same
+steps as wire calls from an event loop.
 """
 
 from __future__ import annotations
 
 import time as _time
-from typing import Any
+from typing import Any, Generator
 
 from repro.core.request import Reply, Request
 from repro.errors import CancelFailed, NotConnectedError, QueueEmpty
@@ -40,6 +47,13 @@ from repro.obs import Observability, get_observability
 from repro.queueing.manager import QueueHandle, QueueManager
 from repro.sim.crash import NULL_INJECTOR, FaultInjector
 from repro.sim.trace import TraceRecorder
+
+Call = tuple[str, tuple[Any, ...], dict[str, Any]]  # (method name, args, kwargs)
+Steps = Generator[Call, Any, Any]  # a clerk operation (see the module docstring)
+
+
+def _call(name: str, *args: Any, **kwargs: Any) -> Call:
+    return name, args, kwargs
 
 
 class Clerk:
@@ -49,9 +63,8 @@ class Clerk:
     def __init__(
         self,
         client_id: str,
-        request_qm: QueueManager,
+        qm: QueueManager,
         request_queue: str,
-        reply_qm: QueueManager,
         reply_queue: str,
         trace: TraceRecorder | None = None,
         injector: FaultInjector | None = None,
@@ -59,9 +72,8 @@ class Clerk:
         obs: Observability | None = None,
     ):
         self.client_id = client_id
-        self.request_qm = request_qm
+        self.qm = qm  # holds the request queue and the reply queue
         self.request_queue = request_queue
-        self.reply_qm = reply_qm
         self.reply_queue = reply_queue
         self.trace = trace
         self.injector = injector if injector is not None else NULL_INJECTOR
@@ -86,9 +98,25 @@ class Clerk:
         ).labels(client=client_id)
         self._h_in: QueueHandle | None = None
         self._h_out: QueueHandle | None = None
-        self._rid_tag: str | None = None
+        #: rid of the last Send (Connect's ``s_rid`` until the next Send)
+        self.last_rid: str | None = None
         self._last_request_eid: int | None = None
         self._last_reply_eid: int | None = None
+
+    def _run(self, steps: Steps) -> Any:
+        """Run ``steps`` with direct calls on ``qm``.  The method is
+        looked up per call: a caller may have patched the instance."""
+        try:
+            name, args, kwargs = next(steps)
+            while True:
+                try:
+                    answer = getattr(self.qm, name)(*args, **kwargs)
+                except BaseException as exc:
+                    name, args, kwargs = steps.throw(exc)
+                else:
+                    name, args, kwargs = steps.send(answer)
+        except StopIteration as done:
+            return done.value
 
     # ------------------------------------------------------------------
     # Connect / Disconnect
@@ -102,15 +130,18 @@ class Clerk:
         ``ckpt`` — the checkpoint it supplied with that Receive.
         All ``None`` for a brand-new client.
         """
+        return self._run(self.connect_steps())
+
+    def connect_steps(self) -> Steps:
         self.injector.reach("clerk.connect.before_register")
-        self._h_in, rid_tag, req_eid = self.request_qm.register(
-            self.request_queue, self.client_id, stable=True
+        self._h_in, rid_tag, req_eid = yield _call(
+            "register", self.request_queue, self.client_id, stable=True
         )
-        self._h_out, reply_tag, reply_eid = self.reply_qm.register(
-            self.reply_queue, self.client_id, stable=True
+        self._h_out, reply_tag, reply_eid = yield _call(
+            "register", self.reply_queue, self.client_id, stable=True
         )
         self.injector.reach("clerk.connect.after_register")
-        self._rid_tag = rid_tag
+        self.last_rid = rid_tag
         self._last_request_eid = req_eid
         self._last_reply_eid = reply_eid
         if reply_tag is None:
@@ -129,13 +160,16 @@ class Clerk:
 
     def disconnect(self) -> None:
         """Deregister from both queues."""
+        self._run(self.disconnect_steps())
+
+    def disconnect_steps(self) -> Steps:
         self._require_connected()
-        self.request_qm.deregister(self._h_in)
-        self.reply_qm.deregister(self._h_out)
+        yield _call("deregister", self._h_in)
+        yield _call("deregister", self._h_out)
         if self.trace is not None:
             self.trace.record("client.disconnected", client=self.client_id)
         self._h_in = self._h_out = None
-        self._rid_tag = None
+        self.last_rid = None
 
     def _require_connected(self) -> None:
         if self._h_in is None or self._h_out is None:
@@ -153,8 +187,11 @@ class Clerk:
         """Enqueue the request, tagged with ``rid``.  "When Send
         returns, the request and rid have been stably stored."  Returns
         the request's eid (kept for Cancel-last-request)."""
+        return self._run(self.send_steps(request, rid, priority))
+
+    def send_steps(self, request: Request, rid: str, priority: int = 0) -> Steps:
         self._require_connected()
-        self._rid_tag = rid
+        self.last_rid = rid
         self.injector.reach("clerk.send.before_enqueue")
         # The Send span uses the rid as its trace id; its wire context
         # rides the element headers so the server's processing span (and
@@ -166,7 +203,8 @@ class Clerk:
             ctx = span.context()
             if ctx is not None:
                 headers["trace"] = ctx
-            eid = self.request_qm.enqueue(
+            eid = yield _call(
+                "enqueue",
                 self._h_in,
                 request.to_body(),
                 tag=rid,
@@ -186,26 +224,14 @@ class Clerk:
         enqueue may be lost; the client times out waiting for the reply
         and resynchronizes at reconnect.  Requires a transport."""
         self._require_connected()
-        self._rid_tag = rid
+        self.last_rid = rid
         if self.transport is None:
             # Degenerate local case: the "message" cannot be lost.
             self.send(request, rid, priority)
             return
         self.injector.reach("clerk.send_oneway.before_post")
-        handle, qm = self._h_in, self.request_qm
-
-        def deliver() -> None:
-            eid = qm.enqueue(
-                handle,
-                request.to_body(),
-                tag=rid,
-                priority=priority,
-                headers={"rid": rid, "reply_to": request.reply_to},
-            )
-            if self.trace is not None:
-                self.trace.record("request.sent", rid, client=self.client_id, eid=eid)
-
-        self.transport.post(deliver)
+        # The message carries Send's own steps: lost, the Enqueue never runs.
+        self.transport.post(lambda: self.send(request, rid, priority))
         if self.trace is not None:
             self.trace.record("request.posted", rid, client=self.client_id)
 
@@ -225,25 +251,29 @@ class Clerk:
         with Read — Section 4.3's "a registrant may Read the element
         identified by this eid, even if the last operation was a
         Dequeue"."""
+        return self._run(self.receive_steps(ckpt, timeout))
+
+    def receive_steps(self, ckpt: Any = None, timeout: float | None = 30.0) -> Steps:
         self._require_connected()
         self.injector.reach("clerk.receive.before_dequeue")
         wall0 = _time.time() if self._obs_on else 0.0
         t0 = _time.perf_counter() if self._obs_on else 0.0
-        tag = [self._rid_tag, ckpt]
+        tag = [self.last_rid, ckpt]
         try:
-            element = self.reply_qm.dequeue(
+            element = yield _call(
+                "dequeue",
                 self._h_out,
                 tag=tag,
                 block=True,
                 timeout=timeout,
             )
         except QueueEmpty:
-            registration = self.reply_qm.registration_info(self._h_out)
+            registration = yield _call("registration_info", self._h_out)
             eid = None if registration is None else registration.dequeued_eid(tag)
             if eid is None:
                 raise
             # Our own lost-response attempt already dequeued it.
-            element = self.reply_qm.read(self._h_out, eid)
+            element = yield _call("read", self._h_out, eid)
         self._last_reply_eid = element.eid
         self.injector.reach("clerk.receive.after_dequeue")
         reply = Reply.from_body(element.body)
@@ -269,12 +299,15 @@ class Clerk:
         """Read the reply most recently dequeued by this client — works
         even after the dequeue removed it, via the queue archive or the
         stable registration copy (Section 4.3)."""
+        return self._run(self.rereceive_steps())
+
+    def rereceive_steps(self) -> Steps:
         self._require_connected()
         if self._last_reply_eid is None:
             raise NotConnectedError(
                 f"client {self.client_id!r} has never received a reply"
             )
-        element = self.reply_qm.read(self._h_out, self._last_reply_eid)
+        element = yield _call("read", self._h_out, self._last_reply_eid)
         reply = Reply.from_body(element.body)
         if self.trace is not None:
             self.trace.record("reply.rereceived", reply.rid, client=self.client_id)
@@ -295,18 +328,21 @@ class Clerk:
     def cancel_last_request(self) -> bool:
         """Kill_element on the eid of the last request.  True iff the
         request was cancelled before any server consumed it."""
+        return self._run(self.cancel_steps())
+
+    def cancel_steps(self) -> Steps:
         self._require_connected()
         if self._last_request_eid is None:
             raise CancelFailed(f"client {self.client_id!r} has sent no request")
-        killed = self.request_qm.kill_element(self._h_in, self._last_request_eid)
+        killed = yield _call("kill_element", self._h_in, self._last_request_eid)
         if killed:
             self._m_cancelled.inc()
             self._tracer.event(
-                "request.cancelled", trace_id=self._rid_tag, client=self.client_id
+                "request.cancelled", trace_id=self.last_rid, client=self.client_id
             )
         if self.trace is not None:
             kind = "request.cancelled" if killed else "request.cancel_failed"
-            self.trace.record(kind, self._rid_tag, client=self.client_id)
+            self.trace.record(kind, self.last_rid, client=self.client_id)
         return killed
 
     @property

@@ -108,15 +108,7 @@ class Client:
             return []
         next_sequence = self.resynchronize()
         while next_sequence <= len(self.work):
-            body = self.work[next_sequence - 1]
-            rid = make_rid(self.client_id, next_sequence)
-            request = Request(
-                rid=rid,
-                body=body,
-                client_id=self.client_id,
-                reply_to=self.clerk.reply_queue,
-            )
-            self.clerk.send(request, rid)
+            self.send_only(next_sequence)
             self.injector.reach("client.after_send")
             ckpt = self.processor.state()
             reply = self.clerk.receive(ckpt=ckpt, timeout=self.receive_timeout)
@@ -182,7 +174,8 @@ class Client:
 
     def send_only(self, sequence: int) -> str:
         """Send request ``sequence`` without waiting for the reply
-        (used by cancellation scenarios and tests)."""
+        (the Send of :meth:`run`; cancellation scenarios and tests call
+        it alone)."""
         body = self.work[sequence - 1]
         rid = make_rid(self.client_id, sequence)
         request = Request(

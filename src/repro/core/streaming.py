@@ -84,15 +84,8 @@ class StreamingClient:
         self.clerks = []
         next_index: list[int] = []
         for slot in range(self.window):
-            clerk = Clerk(
-                slot_registrant(self.client_id, slot),
-                self.system.request_qm,
-                self.system.request_queue,
-                self.system.request_qm,
-                self.system.ensure_reply_queue(slot_registrant(self.client_id, slot)),
-                trace=self.trace,
-                injector=self.system.injector,
-            )
+            clerk = self.system.clerk(slot_registrant(self.client_id, slot))
+            clerk.trace = self.trace
             s_rid, r_rid, _ckpt = clerk.connect()
             self.clerks.append(clerk)
             if s_rid is None:

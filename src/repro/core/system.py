@@ -252,7 +252,6 @@ class TPSystem:
             client_id,
             self.request_qm,
             self.request_queue,
-            self.request_qm,
             reply_queue,
             trace=self.trace,
             injector=self.injector,

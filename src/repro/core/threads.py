@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.core.client import Client, ReplyProcessor, UserCheckpoint
-from repro.core.clerk import Clerk
 from repro.core.system import TPSystem
 
 
@@ -46,23 +45,10 @@ def connect_all_threads(
     thread of ``client_id``, recovered from persistent registration."""
     rows: list[ThreadTags] = []
     for thread_id in range(thread_count):
-        clerk = _thread_clerk(system, client_id, thread_id)
+        clerk = system.clerk(thread_registrant(client_id, thread_id))
         s_rid, r_rid, ckpt = clerk.connect()
         rows.append(ThreadTags(thread_id, s_rid, r_rid, ckpt))
     return rows
-
-
-def _thread_clerk(system: TPSystem, client_id: str, thread_id: int) -> Clerk:
-    registrant = thread_registrant(client_id, thread_id)
-    return Clerk(
-        registrant,
-        system.request_qm,
-        system.request_queue,
-        system.request_qm,
-        system.ensure_reply_queue(registrant),
-        trace=system.trace,
-        injector=system.injector,
-    )
 
 
 class ThreadedClient:
@@ -103,14 +89,10 @@ class ThreadedClient:
         return self.work[thread_id :: self.thread_count]
 
     def _client(self, thread_id: int) -> Client:
-        registrant = thread_registrant(self.client_id, thread_id)
-        return Client(
-            registrant,
-            _thread_clerk(self.system, self.client_id, thread_id),
-            self.processors[thread_id],
+        return self.system.client(
+            thread_registrant(self.client_id, thread_id),
             self._partition(thread_id),
-            trace=self.system.trace,
-            injector=self.system.injector,
+            self.processors[thread_id],
             receive_timeout=self.receive_timeout,
             user_log=self.user_logs[thread_id],
         )

@@ -31,17 +31,12 @@ from typing import Any
 
 from repro.comm import remote
 from repro.comm.wire import DEFAULT_MAX_FRAME
-from repro.core.request import Request, make_rid
-from repro.errors import Busy, CommError, QueueEmpty, ReproError
+from repro.core.clerk import Clerk, Steps
+from repro.core.request import Request, make_rid, rid_sequence
+from repro.errors import Busy, CommError, ReproError
 from repro.obs import Observability, get_observability
-from repro.queueing.element import Element
-from repro.queueing.manager import QueueHandle
 from repro.queueing.placement import ConsistentHashPlacement, PlacementPolicy
-from repro.queueing.registration import Registration
 from repro.queueing.sharded import route
-
-_DEFAULT_RECEIVE_TIMEOUT = 30.0
-
 
 class Gateway:
     """Async clerk front end over the shard processes."""
@@ -52,7 +47,6 @@ class Gateway:
         request_queue: str = "req.q",
         *,
         name: str = "gateway",
-        repository: str = "reqnode",
         max_inflight: int = 64,
         depth_limit: int = 512,
         backpressure: bool = True,
@@ -65,7 +59,6 @@ class Gateway:
         from repro.gateway.aio import AsyncShardPool
 
         self.name = name
-        self.repository = repository
         self.request_queue = request_queue
         self.max_inflight = max_inflight
         self.depth_limit = depth_limit
@@ -85,8 +78,8 @@ class Gateway:
         self._locations: dict[str, int] = {}
         self._refresher: asyncio.Task | None = None
         self._closed = False
-        obs = obs if obs is not None else get_observability()
-        metrics = obs.metrics
+        self.obs = obs if obs is not None else get_observability()
+        metrics = self.obs.metrics
         self._m_requests = metrics.counter(
             "gateway_requests_total",
             "gateway admission outcomes", ("gateway", "outcome"),
@@ -209,40 +202,58 @@ class Gateway:
     # -- sessions --------------------------------------------------------
 
     async def session(self, client_id: str) -> "GatewaySession":
-        """Connect one client: ensure + register its private reply
-        queue and register it with the request queue (the async
-        Connect of Figure 5)."""
+        """Connect one client: ensure its private reply queue, then run
+        the clerk's Connect (Figure 5) over the wire."""
         reply_queue = f"reply.{client_id}"
         await self._call(reply_queue, remote.op_create_queue(reply_queue, {}))
         self._locations.setdefault(
             reply_queue, self._shard_of(reply_queue))
-        request_reg = await self._call(
-            self.request_queue, remote.op_register(self.request_queue, client_id)
-        )
-        await self._call(reply_queue, remote.op_register(reply_queue, client_id))
-        return GatewaySession(
-            self, client_id, reply_queue,
-            last_rid=request_reg["tag"],
-        )
+        session = GatewaySession(self, Clerk(  # no qm: the session runs the steps
+            client_id, None, self.request_queue, reply_queue, obs=self.obs))
+        await session.connect()
+        return session
 
 
 class GatewaySession:
-    """One client's async clerk: Send / Receive over the gateway."""
+    """One client's clerk over the gateway: the :class:`Clerk`'s own
+    steps, each queue-manager call a wire call.  The session adds only
+    the gateway's admission and depth accounting, and rid numbering,
+    which resumes from the last Send rid Connect recovered."""
 
-    def __init__(self, gateway: Gateway, client_id: str, reply_queue: str,
-                 last_rid: str | None = None):
+    def __init__(self, gateway: Gateway, clerk: Clerk):
         self.gateway = gateway
-        self.client_id = client_id
-        self.reply_queue = reply_queue
-        self._sequence = 0
-        self.last_rid = last_rid
+        self.clerk = clerk
+        self.client_id = clerk.client_id
+        self.reply_queue = clerk.reply_queue
 
-    def _next_rid(self) -> str:
-        self._sequence += 1
-        return make_rid(self.client_id, self._sequence)
+    async def _run(self, steps: Steps) -> Any:
+        """Run ``steps`` (the async twin of :meth:`Clerk._run`): each
+        queue-manager call is the wire call ``remote.op_<name>`` builds,
+        sent to the shard of the queue it names."""
+        try:
+            name, args, kwargs = next(steps)
+            while True:
+                target = args[0]  # a queue name (Register) or a handle
+                try:
+                    answer = await self.gateway._call(
+                        target if isinstance(target, str) else target.queue,
+                        getattr(remote, f"op_{name}")(*args, **kwargs),
+                        timeout=remote.dequeue_wire_timeout(
+                            kwargs.get("block", False), kwargs.get("timeout")),
+                    )
+                except BaseException as exc:
+                    name, args, kwargs = steps.throw(exc)
+                else:
+                    decode = remote.ANSWERS.get(name)
+                    if decode is not None:
+                        answer = decode(answer)
+                    name, args, kwargs = steps.send(answer)
+        except StopIteration as done:
+            return done.value
 
-    def _handle(self, queue: str) -> QueueHandle:
-        return QueueHandle(self.gateway.repository, queue, self.client_id)
+    async def connect(self) -> tuple[str | None, str | None, Any]:
+        """Figure 2's Connect: ``(s_rid, r_rid, ckpt)``."""
+        return await self._run(self.clerk.connect_steps())
 
     async def submit(self, body: Any, priority: int = 0) -> str:
         """Admission-checked async Send; returns the rid.  Raises
@@ -250,62 +261,37 @@ class GatewaySession:
         when either admission gate refuses."""
         gateway = self.gateway
         gateway._admit()
-        rid = self._next_rid()
+        last = self.clerk.last_rid
+        rid = make_rid(self.client_id, 1 if last is None else rid_sequence(last) + 1)
         request = Request(
             rid=rid, body=body, client_id=self.client_id,
             reply_to=self.reply_queue,
         )
         try:
-            await gateway._call(gateway.request_queue, remote.op_enqueue(
-                self._handle(gateway.request_queue), request.to_body(),
-                tag=rid, priority=priority,
-                headers={"rid": rid, "reply_to": self.reply_queue},
-            ))
+            await self._run(self.clerk.send_steps(request, rid, priority))
         except BaseException:
             gateway._release(consumed_request=False)
             raise
         gateway.depth_estimate += 1
         gateway._m_depth.set(gateway.depth_estimate)
-        self.last_rid = rid
         return rid
 
     async def receive(
-        self, timeout: float | None = _DEFAULT_RECEIVE_TIMEOUT
+        self, ckpt: Any = None, timeout: float | None = 30.0
     ) -> dict[str, Any]:
-        """Await the next reply for this client (async Receive).  The
-        received reply releases one in-flight slot and debits the depth
-        estimate (a reply implies the back end consumed a request).
+        """Await the next reply for this client (async Receive, tagged
+        ``[last Send rid, ckpt]``).  The received reply releases one
+        in-flight slot and debits the depth estimate (a reply implies
+        the back end consumed a request).  A reply whose answer an
+        earlier attempt lost is read back, as in :meth:`Clerk.receive`."""
+        reply = await self._run(self.clerk.receive_steps(ckpt, timeout))
+        self.gateway._release(consumed_request=True)
+        return reply.to_body()
 
-        As in :meth:`~repro.core.clerk.Clerk.receive`, an earlier
-        attempt that dequeued the reply but lost the answer leaves the
-        queue empty; the registration then names the reply, which is
-        read back."""
-        gateway = self.gateway
-        handle = self._handle(self.reply_queue)
-        tag = [self.last_rid, None]
-        try:
-            record = await gateway._call(
-                self.reply_queue,
-                remote.op_dequeue(handle, tag=tag, block=True, timeout=timeout),
-                timeout=remote.dequeue_wire_timeout(True, timeout),
-            )
-        except QueueEmpty:
-            info = await gateway._call(
-                self.reply_queue, remote.op_registration_info(handle))
-            eid = None if info is None else Registration.from_record(info).dequeued_eid(tag)
-            if eid is None:
-                raise
-            record = await gateway._call(self.reply_queue, remote.op_read(handle, eid))
-        gateway._release(consumed_request=True)
-        return Element.from_record(record).body
+    async def rereceive(self) -> dict[str, Any]:
+        """Read the reply most recently dequeued by this client again."""
+        return (await self._run(self.clerk.rereceive_steps())).to_body()
 
     async def close(self) -> None:
         """Disconnect: deregister from both queues."""
-        gateway = self.gateway
-        await gateway._call(
-            gateway.request_queue,
-            remote.op_deregister(self._handle(gateway.request_queue)),
-        )
-        await gateway._call(
-            self.reply_queue, remote.op_deregister(self._handle(self.reply_queue))
-        )
+        await self._run(self.clerk.disconnect_steps())

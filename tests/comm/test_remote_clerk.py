@@ -39,7 +39,6 @@ def remote_clerk(system, remote_qm, client_id="c1"):
         client_id,
         remote_qm,
         system.request_queue,
-        remote_qm,
         reply_queue,
         trace=system.trace,
     )

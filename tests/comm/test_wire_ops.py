@@ -15,8 +15,8 @@ import pytest
 from repro.comm import remote
 from repro.comm.remote import RemoteQueueManager
 from repro.comm.wire import KIND_CALL, encode_frame, ok_payload
-from repro.core.request import Request
-from repro.gateway.gateway import Gateway, GatewaySession
+from repro.core.request import Reply, Request
+from repro.gateway.gateway import Gateway
 from repro.queueing.element import Element
 from repro.queueing.manager import QueueHandle
 from repro.serve.client import RemoteShardedQueueManager
@@ -116,9 +116,11 @@ class _Recorder:
     def answer(self, payload, timeout):
         self.sent.append((literal(payload), timeout))
         if payload["op"] == "register":
-            return {"handle": HANDLE_RECORD, "tag": None, "eid": None}
+            handle = {**HANDLE_RECORD, "queue": payload["queue"]}
+            return {"handle": handle, "tag": None, "eid": None}
         if payload["op"] in ("dequeue", "read"):
-            return Element(eid=1, body=1, enqueue_seq=1).to_record()
+            reply = Reply(rid="c0#1", body=1).to_body()
+            return Element(eid=1, body=reply, enqueue_seq=1).to_record()
         return None
 
     # Transport
@@ -170,10 +172,19 @@ def test_gateway_session_builds_the_same_frames():
     async def scenario():
         for pool in gateway.pools:
             pool.call = recorder.acall
-        session = GatewaySession(gateway, "c0", "reply.c0")
+        session = await gateway.session("c0")
         await session.submit("x" * 64)
         await session.receive(timeout=2.0)
 
     asyncio.run(scenario())
     receive = {**RECEIVE, "handle": {**HANDLE_RECORD, "queue": "reply.c0"}}
-    assert recorder.sent == [(literal(SEND), None), (literal(receive), 7.0)]
+    # the session is the clerk: Connect registers with both queues, and
+    # its Send and Receive frames are the stub's, with no trace header
+    # while observability is disabled
+    assert recorder.sent == [
+        (literal(remote.op_create_queue("reply.c0", {})), None),
+        (literal(remote.op_register("req.q", "c0")), None),
+        (literal(remote.op_register("reply.c0", "c0")), None),
+        (literal(SEND), None),
+        (literal(receive), 7.0),
+    ]

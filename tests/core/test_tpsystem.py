@@ -51,7 +51,7 @@ class TestConfiguration:
         # second pair of names for it.
         system = TPSystem()
         clerk = system.clerk("c1")
-        assert clerk.reply_qm is clerk.request_qm is system.request_qm
+        assert clerk.qm is system.request_qm
         assert not hasattr(system, "reply_repo") and not hasattr(system, "reply_qm")
 
     def test_separate_reply_node(self):

@@ -1,7 +1,9 @@
 """The asyncio clerk gateway: async sessions over real shard processes,
-and the two admission gates (in-flight cap, queue-depth watermark) that
-turn overload into :class:`~repro.errors.Busy` pushback instead of
-unbounded queue growth."""
+which are the clerk's own Connect/Send/Receive steps (so a reconnecting
+client resynchronizes per Figure 2), and the two admission gates
+(in-flight cap, queue-depth watermark) that turn overload into
+:class:`~repro.errors.Busy` pushback instead of unbounded queue
+growth."""
 
 import asyncio
 import shutil
@@ -9,6 +11,8 @@ import tempfile
 
 import pytest
 
+from repro.core.devices import TicketPrinter
+from repro.core.request import rid_sequence
 from repro.core.system import TPSystem
 from repro.errors import Busy, PartitionedError
 from repro.gateway import Gateway
@@ -153,6 +157,149 @@ class TestGatewaySessions:
                 await gateway.close()
 
         run(scenario())
+
+    def test_a_new_session_resumes_the_rid_sequence(self, tcp_system):
+        """A reconnecting client's next rid follows the last Send rid
+        its Connect recovered.  Reusing ``g1#1`` would lose the new
+        request to the shard's tagged-enqueue dedup, and the Receive
+        would hand back the old reply."""
+        server = tcp_system.server("s1", lambda txn, r: r.body)
+
+        async def scenario():
+            gateway = Gateway(
+                endpoints(tcp_system),
+                request_queue=tcp_system.request_queue,
+            )
+            await gateway.start()
+            try:
+                first = await gateway.session("g1")
+                assert await first.submit({"n": 1}) == "g1#1"
+                assert await process_in_thread(server) is True
+                assert (await first.receive(timeout=10))["body"] == {"n": 1}
+                second = await gateway.session("g1")
+                assert await second.submit({"n": 3}) == "g1#2"
+                assert await process_in_thread(server) is True
+                reply = await second.receive(timeout=10)
+                assert reply == {"rid": "g1#2", "body": {"n": 3}, "status": "ok"}
+            finally:
+                await gateway.close()
+
+        run(scenario())
+
+
+class FailOneCall:
+    """Wraps every shard pool of a gateway so that its ``k``-th wire
+    call (depth refreshes are not counted) fails once with
+    :class:`PartitionedError`: before it is sent, or, with
+    ``lose_answer``, after it ran, so that only its answer is lost."""
+
+    def __init__(self, gateway):
+        self.k = -1
+        self.lose_answer = False
+        self.calls = 0
+        self.fired = False
+        for pool in gateway.pools:
+            pool.call = self._wrap(pool.call)
+
+    def arm(self, k, lose_answer):
+        self.k, self.lose_answer = k, lose_answer
+        self.calls, self.fired = 0, False
+
+    def _wrap(self, real_call):
+        async def call(payload, timeout=None):
+            if payload["op"] == "depth":
+                return await real_call(payload, timeout=timeout)
+            index, self.calls = self.calls, self.calls + 1
+            if index != self.k:
+                return await real_call(payload, timeout=timeout)
+            self.fired = True
+            if self.lose_answer:
+                await real_call(payload, timeout=timeout)
+            raise PartitionedError(f"wire call {index} failed")
+
+        return call
+
+
+async def drain(server):
+    while await process_in_thread(server):
+        pass
+
+
+async def resynchronize(session, device, trace, server):
+    """Figure 2 lines 2-11 over a gateway session.  Returns the sequence
+    number of the next request to send."""
+    s_rid, r_rid, ckpt = await session.connect()
+    if s_rid is None:
+        return 1
+    trace.record("request.sent", s_rid, client=session.client_id, resync=True)
+    if s_rid != r_rid:  # in flight: receive its reply
+        await drain(server)
+        reply = await session.receive(ckpt=device.state(), timeout=10)
+        device.process(reply["rid"], reply["body"])
+    elif device.state() == ckpt:  # received, never printed
+        reply = await session.rereceive()
+        device.process(reply["rid"], reply["body"])
+    return rid_sequence(s_rid) + 1
+
+
+async def two_requests(gateway, server, trace, cid, device):
+    """connect -> submit -> receive, twice.  A failed wire call abandons
+    the session; a new one resynchronizes and goes on."""
+    while True:
+        try:
+            session = await gateway.session(cid)
+            session.clerk.trace = trace
+            sequence = await resynchronize(session, device, trace, server)
+            for n in range(sequence, 3):
+                assert await session.submit({"n": n}) == f"{cid}#{n}"
+                await drain(server)
+                reply = await session.receive(ckpt=device.state(), timeout=10)
+                device.process(reply["rid"], reply["body"])
+            return
+        except PartitionedError:
+            continue
+
+
+class TestGatewayCrashSweep:
+    def test_every_wire_call_fails_once_and_the_client_resyncs(
+        self, tcp_system
+    ):
+        """For every wire call of a gateway client's two requests: fail
+        it before it is sent, or lose its answer after it ran.  The
+        client reconnects, resynchronizes from Connect's ``(s_rid,
+        r_rid, ckpt)`` and prints each reply exactly once."""
+        server = tcp_system.server("s1", lambda txn, r: r.body)
+        trace = tcp_system.trace
+
+        async def scenario():
+            gateway = Gateway(
+                endpoints(tcp_system),
+                request_queue=tcp_system.request_queue,
+            )
+            await gateway.start()
+            faults = FailOneCall(gateway)
+            cases = 0
+            try:
+                await two_requests(gateway, server, trace, "clean",
+                                   TicketPrinter(trace=trace))
+                calls = faults.calls
+                assert calls == 9  # session 3, Connect 2, (Send, Receive) x 2
+                for k in range(calls):
+                    for lose_answer in (False, True):
+                        cid = f"k{k}{'lost' if lose_answer else 'unsent'}"
+                        device = TicketPrinter(trace=trace)
+                        faults.arm(k, lose_answer)
+                        await two_requests(gateway, server, trace, cid, device)
+                        assert faults.fired, cid
+                        assert [rid for _, rid in device.printed] == [
+                            f"{cid}#1", f"{cid}#2"], cid
+                        cases += 1
+            finally:
+                await gateway.close()
+            assert cases == 18
+
+        run(scenario())
+        tcp_system.checker().assert_ok()
 
 
 class TestAdmissionControl:

@@ -90,7 +90,7 @@ class Deployment:
         return [shard.service.txns for shard in self.shards]
 
     def clerk(self, client_id: str = "c1") -> Clerk:
-        clerk = Clerk(client_id, self.qm, "req.q", self.qm, f"reply.{client_id}")
+        clerk = Clerk(client_id, self.qm, "req.q", f"reply.{client_id}")
         clerk.connect()
         return clerk
 
