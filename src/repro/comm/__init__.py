@@ -11,11 +11,15 @@ the opening failure scenario of Section 2.  This package provides:
   random message loss, duplication, and partitions, with message
   counters used by benchmark C8 (RPC vs one-way Send vs Transceive).
 * :class:`~repro.comm.transport.Transport` — the correlated
-  request/response interface, with two media behind it:
+  request/response interface.  One sans-IO correlation core,
+  :class:`~repro.comm.transport.CallTable`, sits under three drivers:
   :class:`~repro.comm.transport.InProcTransport` (the simulated
-  network) and :class:`~repro.comm.transport.TcpTransport` (a real
-  socket speaking the CRC'd length-prefixed frames of
-  :mod:`repro.comm.wire`).
+  network), :class:`~repro.comm.transport.TcpTransport` (a real socket
+  speaking the CRC'd length-prefixed frames of :mod:`repro.comm.wire`,
+  from any number of threads) and
+  :class:`~repro.comm.transport.AsyncShardConnection` (the same socket
+  protocol on an asyncio event loop, at-most-once; the gateway pools
+  them in :class:`~repro.comm.transport.AsyncShardPool`).
 * :class:`~repro.comm.transport.OneWayTransport` — one-way posts (one
   message, possibly lost) over the simulated network: Section 5's
   unacknowledged Send.
@@ -24,6 +28,9 @@ the opening failure scenario of Section 2.  This package provides:
 from repro.comm.network import SimNetwork, NetworkStats
 from repro.comm.transport import (
     NO_RESPONSE,
+    AsyncShardConnection,
+    AsyncShardPool,
+    CallTable,
     InProcListener,
     InProcTransport,
     OneWayTransport,
@@ -47,10 +54,13 @@ __all__ = [
     "NetworkStats",
     "OneWayTransport",
     "Transport",
+    "CallTable",
     "InProcTransport",
     "InProcListener",
     "TcpTransport",
     "TcpListener",
+    "AsyncShardConnection",
+    "AsyncShardPool",
     "NO_RESPONSE",
     "FrameError",
     "FrameReader",

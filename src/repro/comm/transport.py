@@ -2,9 +2,10 @@
 
 Remote procedure call needs a careful little engine — per-call
 correlation ids, duplicate-response discard, bounded retries with
-seeded exponential backoff.  This module keeps that engine
-(:class:`CorrelatedChannel`) behind a ``Transport`` interface so the
-*same* retry/correlation semantics run over two media:
+seeded exponential backoff.  The correlation half is
+:class:`CallTable`, which does no I/O: it hands out call ids, parks
+each call's future, routes response frames to it by id, and fails the
+calls of a connection that died.  Three drivers put a medium under it:
 
 * :class:`InProcTransport` / :class:`InProcListener` — the simulated
   :class:`~repro.comm.network.SimNetwork` (one message out, one back,
@@ -18,6 +19,9 @@ seeded exponential backoff.  This module keeps that engine
   connection multiplexes any number of concurrent calls (a reader
   thread routes responses by correlation id); a dead connection is
   reconnected with the same seeded backoff an in-proc retry uses.
+* :class:`AsyncShardConnection` (pooled by :class:`AsyncShardPool`) —
+  the same socket protocol driven by an asyncio event loop, for the
+  gateway.
 
 A **transport**'s contract is one method::
 
@@ -28,7 +32,9 @@ raising the :mod:`repro.errors` comm taxonomy (:class:`RpcTimeout`,
 a retried request may execute twice at the server, so payloads must
 name idempotent operations — or, as in the paper, tagged queue
 operations whose duplicates are absorbed.  Pass ``retries=0`` for
-at-most-once calls (transaction control ops).
+at-most-once calls (transaction control ops).  The asyncio driver's
+``await connection.call(payload, timeout=...)`` is always at-most-once:
+its caller (the clerk's steps) owns the retry.
 
 A **listener**'s contract is one callable: ``handler(payload) ->
 response_payload``.  Handlers are responsible for their own error
@@ -39,28 +45,31 @@ injection for at-least-once tests).
 
 from __future__ import annotations
 
+import concurrent.futures
+import itertools
 import logging
 import queue
 import random
 import socket
 import threading
 import time as _time
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
 
 from repro.comm.network import SimNetwork
 from repro.comm.wire import (
-    DEFAULT_MAX_FRAME,
     KIND_CALL,
     KIND_RESP,
     FrameError,
     FrameReader,
     encode_frame,
+    unwrap,
 )
 from repro.errors import CommError, MessageLost, PartitionedError, RpcTimeout
 
-logger = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    import asyncio
 
-_NO_RESPONSE = object()
+logger = logging.getLogger(__name__)
 
 #: in-process one-way message kind (no call id, no response)
 KIND_POST = "post"
@@ -68,6 +77,18 @@ KIND_POST = "post"
 #: sentinel a listener handler may return to drop the response on the
 #: floor (simulates a lost reply over a live connection)
 NO_RESPONSE = object()
+
+#: per-attempt response wait before the call is retried (the retry may
+#: re-execute at the server — at-least-once, like the in-proc channel)
+DEFAULT_CALL_TIMEOUT = 10.0
+
+#: seconds a socket driver waits for a connection to open
+CONNECT_TIMEOUT = 2.0
+
+#: connections per shard in an :class:`AsyncShardPool`: the wire is
+#: multiplexed, so the pool overlaps TCP send buffers under load; it
+#: does not serialize calls
+POOL_SIZE = 2
 
 
 @runtime_checkable
@@ -83,16 +104,80 @@ class Transport(Protocol):
         ...  # pragma: no cover - protocol
 
 
-class CorrelatedChannel:
-    """The retry/correlation engine shared by every transport.
+class CallTable:
+    """The correlation core of every driver; it does no I/O.
 
-    Subclasses implement :meth:`_transmit` (send one call frame; raise
-    :class:`CommError` if the medium rejected it) and feed responses to
-    :meth:`_deliver_response`.  Media with synchronous delivery (the
-    simulated network runs the handler inside ``send``) use
-    ``wait_timeout=None``: the response is either present immediately
-    after a successful transmit or the message was lost.  Asynchronous
-    media (sockets) pass a per-attempt wait in seconds.
+    It hands out call ids and parks each call's future — a
+    :mod:`concurrent.futures` or an :mod:`asyncio` one; the table only
+    calls ``done``, ``set_result`` and ``set_exception`` — tagged with
+    the generation of the connection its attempt went out on.
+    :meth:`feed` routes response frames by id: the first response
+    wins, and duplicates and unknown ids are dropped.  :meth:`lost`
+    fails only the calls parked on the connection that died, so a
+    superseded connection's death leaves its successor's calls alone.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._ids = itertools.count(1)
+        #: call id -> (future, generation of its attempt's connection)
+        self._parked: dict[int, tuple[Any, int]] = {}
+
+    def new_id(self) -> int:
+        return next(self._ids)
+
+    def park(self, call_id: int, future: Any, generation: int) -> Any:
+        """Park an attempt of call ``call_id`` sent on connection
+        ``generation``; returns the future it waits on.  That is
+        ``future``, or an earlier attempt's that is still parked —
+        waiting, or holding a response that arrived after that attempt
+        gave up, which then answers the retry."""
+        with self._lock:
+            held = self._parked.get(call_id)
+            if held is not None:
+                future = held[0]
+            self._parked[call_id] = (future, generation)
+        return future
+
+    def forget(self, call_id: int) -> None:
+        """The call returned or gave up: later responses are unknown ids."""
+        with self._lock:
+            self._parked.pop(call_id, None)
+
+    def resolve(self, call_id: int, payload: Any) -> None:
+        with self._lock:
+            held = self._parked.get(call_id)
+            if held is not None and not held[0].done():
+                held[0].set_result(payload)
+
+    def feed(self, frames: FrameReader, chunk: bytes) -> None:
+        """Route the response frames completed by ``chunk``; raises
+        :class:`FrameError` when the stream is corrupt."""
+        for kind, call_id, payload in frames.feed(chunk):
+            if kind == KIND_RESP:
+                self.resolve(call_id, payload)
+
+    def lost(self, generation: int, error: CommError) -> None:
+        """Connection ``generation`` died: fail the calls waiting on it
+        with ``error`` (whether their requests executed is unknown —
+        the callers' retry and dedup discipline owns that)."""
+        with self._lock:
+            for call_id, (future, tag) in list(self._parked.items()):
+                if tag == generation and not future.done():
+                    future.set_exception(error)
+                    del self._parked[call_id]
+
+
+class CorrelatedChannel:
+    """The retry engine of the two synchronous drivers, over a
+    :class:`CallTable`.
+
+    Subclasses implement :meth:`_transmit` (park the attempt in
+    ``self._table`` and send one call frame).  Media with synchronous
+    delivery (the simulated network runs the handler inside ``send``)
+    use ``wait_timeout=None``: the response is either present
+    immediately after a successful transmit or the message was lost.
+    Asynchronous media (sockets) pass a per-attempt wait in seconds.
 
     ``max_retries`` is the number of additional attempts after the
     first.  Retry ``n`` sleeps ``base * factor**n`` capped at ``max``,
@@ -122,44 +207,21 @@ class CorrelatedChannel:
         self.backoff_max = backoff_max
         self.wait_timeout = wait_timeout
         self._rng = random.Random(seed)
-        self._mutex = threading.Lock()
-        self._cond = threading.Condition(self._mutex)
-        self._next_call_id = 1
-        #: call id -> result slot (kept _NO_RESPONSE until the first
-        #: response for that id arrives; later duplicates are dropped)
-        self._pending: dict[int, Any] = {}
+        self._table = CallTable()
         self.calls = 0
         self.retries = 0
 
-    # -- medium hooks ---------------------------------------------------
-
-    def _transmit(self, call_id: int, payload: Any) -> Any:
-        """Send one call frame; returns an opaque attempt token passed
-        to :meth:`_attempt_broken` (media that can detect a dead
-        connection use it to cut response waits short)."""
+    def _transmit(self, call_id: int, payload: Any) -> concurrent.futures.Future:
+        """Park one attempt and send its call frame; returns the future
+        the attempt waits on.  Raises :class:`MessageLost` or
+        :class:`PartitionedError` when the medium rejected the frame."""
         raise NotImplementedError
-
-    def _attempt_broken(self, token: Any) -> bool:
-        """True when the medium knows this attempt's response can never
-        arrive (connection died) — the engine retries immediately."""
-        return False
-
-    def _deliver_response(self, call_id: int, result: Any) -> None:
-        with self._cond:
-            # Unknown id: a duplicate for a call that already returned,
-            # or a response to a previous incarnation of this endpoint.
-            if self._pending.get(call_id, None) is _NO_RESPONSE:
-                self._pending[call_id] = result
-                self._cond.notify_all()
-
-    # -- engine ---------------------------------------------------------
 
     def _backoff(self, attempt: int) -> None:
         if self.backoff_base <= 0.0:
             return
         delay = min(self.backoff_max, self.backoff_base * self.backoff_factor ** attempt)
-        with self._mutex:
-            jitter = 0.5 + self._rng.random() / 2.0
+        jitter = 0.5 + self._rng.random() / 2.0  # one atomic C call
         _time.sleep(delay * jitter)
 
     def request(self, payload: Any, timeout: float | None = None,
@@ -172,10 +234,7 @@ class CorrelatedChannel:
         self.calls += 1
         budget = self.max_retries if retries is None else retries
         wait = self.wait_timeout if timeout is None else timeout
-        with self._mutex:
-            call_id = self._next_call_id
-            self._next_call_id += 1
-            self._pending[call_id] = _NO_RESPONSE
+        call_id = self._table.new_id()
         transmitted = False
         last: CommError | None = None
         try:
@@ -184,7 +243,7 @@ class CorrelatedChannel:
                     self.retries += 1
                     self._backoff(attempt - 1)
                 try:
-                    token = self._transmit(call_id, payload)
+                    future = self._transmit(call_id, payload)
                 except (MessageLost, PartitionedError) as exc:
                     last = exc
                     continue
@@ -193,23 +252,13 @@ class CorrelatedChannel:
                     # Synchronous medium: delivery (or loss) already
                     # happened inside _transmit — a per-call timeout
                     # has nothing to wait for.
-                    with self._mutex:
-                        result = self._pending[call_id]
-                    if result is not _NO_RESPONSE:
-                        return result
+                    if future.done():
+                        return future.result()
                     continue
-                deadline = _time.monotonic() + wait
-                with self._cond:
-                    while True:
-                        result = self._pending[call_id]
-                        if result is not _NO_RESPONSE:
-                            return result
-                        if self._attempt_broken(token):
-                            break
-                        remaining = deadline - _time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._cond.wait(remaining)
+                try:
+                    return future.result(wait)
+                except (CommError, concurrent.futures.TimeoutError):
+                    continue  # its connection died, or no answer in time
             if self._PARTITION_RAISES and not transmitted:
                 raise PartitionedError(
                     f"peer unreachable after {budget} retries: {last}"
@@ -218,8 +267,7 @@ class CorrelatedChannel:
                 f"no response after {budget} retries"
             )
         finally:
-            with self._mutex:
-                self._pending.pop(call_id, None)
+            self._table.forget(call_id)
 
     def close(self) -> None:  # pragma: no cover - nothing to release
         pass
@@ -250,19 +298,20 @@ class InProcTransport(CorrelatedChannel):
         network.register(local, self._on_message)
 
     def _on_message(self, message: Any) -> None:
-        if not (isinstance(message, tuple) and len(message) == 3
+        if (isinstance(message, tuple) and len(message) == 3
                 and message[0] == KIND_RESP):
-            return  # not a correlated response; ignore
-        _, call_id, result = message
-        self._deliver_response(call_id, result)
+            self._table.resolve(message[1], message[2])
 
-    def _transmit(self, call_id: int, payload: Any) -> None:
+    def _transmit(self, call_id: int, payload: Any) -> concurrent.futures.Future:
+        # one medium, one connection: generation 0 never dies
+        future = self._table.park(call_id, concurrent.futures.Future(), 0)
         self.network.send(
             self.local,
             self.remote,
             (KIND_CALL, call_id, payload, self.local),
             reliable=True,
         )
+        return future
 
 
 class InProcListener:
@@ -329,49 +378,39 @@ class OneWayTransport:
 # TCP transport
 # ---------------------------------------------------------------------------
 
-#: per-attempt response wait before the call is retried (the retry may
-#: re-execute at the server — at-least-once, like the in-proc channel)
-DEFAULT_CALL_TIMEOUT = 10.0
+
+def _hang_up(sock: socket.socket) -> None:
+    """Shut ``sock`` down: unlike ``close``, this wakes a thread
+    blocked reading it (or accepting on it)."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # no longer connected
 
 
 class TcpTransport(CorrelatedChannel):
     """One multiplexed TCP connection to a :class:`TcpListener`.
 
     Thread-safe: any number of threads may :meth:`request` concurrently
-    over the single socket; a reader thread routes each response frame
-    to its caller by correlation id.  A send or connect failure tears
-    the connection down and the retry path reconnects under the seeded
-    backoff.  Reconnect-heavy defaults (higher backoff cap) keep a
-    restart storm against a dead shard polite.
+    over the single socket; a reader thread feeds the response frames
+    to the call table.  A send or connect failure tears the connection
+    down and the retry path reconnects under the seeded backoff.
+    Reconnect-heavy defaults (higher backoff cap) keep a restart storm
+    against a dead shard polite.
     """
 
     _PARTITION_RAISES = True
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        max_retries: int = 10,
-        backoff_base: float = 0.02,
-        backoff_factor: float = 2.0,
-        backoff_max: float = 0.5,
-        seed: int = 0,
-        timeout: float = DEFAULT_CALL_TIMEOUT,
-        connect_timeout: float = 2.0,
-        max_frame: int = DEFAULT_MAX_FRAME,
-    ):
-        super().__init__(
-            max_retries=max_retries,
-            backoff_base=backoff_base,
-            backoff_factor=backoff_factor,
-            backoff_max=backoff_max,
-            seed=seed,
-            wait_timeout=timeout,
-        )
+    def __init__(self, host: str, port: int,
+                 timeout: float = DEFAULT_CALL_TIMEOUT, *,
+                 backoff_base: float = 0.02, backoff_max: float = 0.5,
+                 **engine: Any):
+        """``timeout`` is the per-attempt response wait; ``engine``
+        the rest of :class:`CorrelatedChannel`'s retry parameters."""
+        super().__init__(backoff_base=backoff_base, backoff_max=backoff_max,
+                         wait_timeout=timeout, **engine)
         self.host = host
         self.port = port
-        self.connect_timeout = connect_timeout
-        self.max_frame = max_frame
         self._io_lock = threading.Lock()
         self._sock: socket.socket | None = None
         self._generation = 0
@@ -386,7 +425,7 @@ class TcpTransport(CorrelatedChannel):
         if self._closed:
             raise PartitionedError("transport is closed")
         sock = socket.create_connection(
-            (self.host, self.port), timeout=self.connect_timeout
+            (self.host, self.port), timeout=CONNECT_TIMEOUT
         )
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -401,39 +440,31 @@ class TcpTransport(CorrelatedChannel):
         thread.start()
         return sock
 
-    def _teardown(self, sock: socket.socket) -> None:
-        with self._io_lock:
-            if self._sock is sock:
-                self._sock = None
-        try:
-            sock.close()
-        except OSError:  # pragma: no cover - best effort
-            pass
-
     def _read_loop(self, sock: socket.socket, generation: int) -> None:
-        reader = FrameReader(self.max_frame)
+        frames = FrameReader()
         try:
             while True:
                 chunk = sock.recv(65536)
                 if not chunk:
                     break
                 self.bytes_received += len(chunk)
-                for kind, call_id, payload in reader.feed(chunk):
-                    if kind == KIND_RESP:
-                        self._deliver_response(call_id, payload)
+                self._table.feed(frames, chunk)
         except (OSError, FrameError):
             pass
         finally:
-            # However the reader ends, the socket is dead: drop it and
-            # wake blocked callers so they retry instead of waiting out
-            # the full per-attempt timeout against it.
-            self._teardown(sock)
-            with self._cond:
-                self._cond.notify_all()
+            # However the reader ends, the socket is dead: drop it, then
+            # fail the calls parked on it so they retry now instead of
+            # waiting out the full per-attempt timeout against it.
+            with self._io_lock:
+                if self._sock is sock:
+                    self._sock = None
+            sock.close()
+            self._table.lost(generation, PartitionedError(
+                f"connection to {self.host}:{self.port} lost"))
 
     # -- engine hook ----------------------------------------------------
 
-    def _transmit(self, call_id: int, payload: Any) -> int:
+    def _transmit(self, call_id: int, payload: Any) -> concurrent.futures.Future:
         data = encode_frame(KIND_CALL, call_id, payload)
         with self._io_lock:
             sock = self._sock
@@ -446,41 +477,29 @@ class TcpTransport(CorrelatedChannel):
                     raise PartitionedError(
                         f"cannot connect to {self.host}:{self.port}: {exc}"
                     ) from exc
+            # parked before the frame goes out: the answer may beat
+            # sendall's return
+            future = self._table.park(
+                call_id, concurrent.futures.Future(), self._generation)
             try:
                 sock.sendall(data)
             except OSError as exc:
                 self._sock = None
-                try:
-                    sock.close()
-                except OSError:  # pragma: no cover - best effort
-                    pass
+                _hang_up(sock)  # its reader fails the calls parked on it
                 raise PartitionedError(
                     f"send to {self.host}:{self.port} failed: {exc}"
                 ) from exc
             # under the lock: callers on any number of threads share it
             self.bytes_sent += len(data)
-            return self._generation
-
-    def _attempt_broken(self, token: Any) -> bool:
-        # The socket that carried this attempt is gone: its response
-        # can never arrive, so the engine should retry now rather than
-        # wait out the full per-attempt timeout.
-        sock = self._sock
-        return sock is None or self._generation != token
+            return future
 
     def close(self) -> None:
         with self._io_lock:
             self._closed = True
             sock, self._sock = self._sock, None
         if sock is not None:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - best effort
-                pass
+            _hang_up(sock)
+            sock.close()
 
 
 class TcpListener:
@@ -512,11 +531,9 @@ class TcpListener:
         handler: Callable[[Any], Any],
         host: str = "127.0.0.1",
         port: int = 0,
-        max_frame: int = DEFAULT_MAX_FRAME,
         max_inflight: int = 256,
     ):
         self.handler = handler
-        self.max_frame = max_frame
         self.handled = 0
         self._closed = False
         self._conns: set[socket.socket] = set()
@@ -560,7 +577,7 @@ class TcpListener:
             ).start()
 
     def _serve_conn(self, conn: socket.socket) -> None:
-        reader = FrameReader(self.max_frame)
+        reader = FrameReader()
         wlock = threading.Lock()
         try:
             while True:
@@ -577,10 +594,7 @@ class TcpListener:
         finally:
             with self._conns_lock:
                 self._conns.discard(conn)
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - best effort
-                pass
+            conn.close()
 
     def _hand_off(self, call: tuple) -> None:
         """Queue ``call`` for a worker that is free to take it: each
@@ -637,10 +651,7 @@ class TcpListener:
         except Exception:
             logger.exception("tcp listener %s: call failed; dropping the "
                              "connection", self.port)
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+            _hang_up(conn)
             return None
 
     def close(self) -> None:
@@ -653,23 +664,146 @@ class TcpListener:
         # would leave it parked on the fd, and once the fd number is
         # reused by a successor listener the stale accept() would steal
         # that listener's connections and serve them with this handler.
-        try:
-            self._server.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
+        _hang_up(self._server)
         self._acceptor.join(timeout=1.0)
-        try:
-            self._server.close()
-        except OSError:  # pragma: no cover - best effort
-            pass
+        self._server.close()
         with self._conns_lock:
             conns, self._conns = set(self._conns), set()
         for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - best effort
-                pass
+            _hang_up(conn)
+            conn.close()
+
+
+# ---------------------------------------------------------------------------
+# Asyncio transport
+# ---------------------------------------------------------------------------
+#
+# asyncio is imported where it is used: a shard process imports this
+# module for TcpListener and would pay ~40 ms of every boot for it.
+
+
+class AsyncShardConnection:
+    """One multiplexed asyncio connection to one shard service: the
+    socket protocol of :class:`TcpTransport`, driven by an event loop.
+
+    Each call parks an :class:`asyncio.Future` in the call table and
+    one reader task feeds it the response frames.  A call is
+    at-most-once: a connect failure, a send failure or a lost
+    connection raises :class:`PartitionedError`, no answer in time
+    :class:`RpcTimeout`.
+    """
+
+    def __init__(self, host: str, port: int):
+        import asyncio
+
+        self.host = host
+        self.port = port
+        self._table = CallTable()
+        self._writer: asyncio.StreamWriter | None = None
+        self._reader_task: asyncio.Task | None = None
+        self._generation = 0
+        self._closed = False
+        #: one connect at a time: a burst of first calls opens one
+        #: socket, not one apiece
+        self._connect_lock = asyncio.Lock()
+        self.reconnects = 0
+
+    async def _connected(self) -> asyncio.StreamWriter:
+        """The live stream writer, connecting first if there is none."""
+        import asyncio
+
+        async with self._connect_lock:
+            if self._writer is None:
+                if self._closed:
+                    raise PartitionedError(
+                        f"connection to {self.host}:{self.port} closed")
+                try:
+                    reader, self._writer = await asyncio.wait_for(
+                        asyncio.open_connection(self.host, self.port),
+                        timeout=CONNECT_TIMEOUT,
+                    )
+                except (OSError, asyncio.TimeoutError) as exc:
+                    raise PartitionedError(
+                        f"cannot connect to shard at {self.host}:{self.port}: {exc}"
+                    ) from exc
+                self._generation += 1
+                self.reconnects += 1
+                self._reader_task = asyncio.ensure_future(
+                    self._read_loop(reader, self._writer, self._generation))
+            return self._writer
+
+    async def _read_loop(self, reader: asyncio.StreamReader,
+                         writer: asyncio.StreamWriter, generation: int) -> None:
+        frames = FrameReader()
+        try:
+            while True:
+                chunk = await reader.read(65536)
+                if not chunk:
+                    break
+                self._table.feed(frames, chunk)
+        except (OSError, FrameError):
+            pass
+        finally:
+            self._drop(writer, generation)
+
+    def _drop(self, writer: asyncio.StreamWriter, generation: int) -> None:
+        """Connection ``generation`` died: close it, forget it if it is
+        still the live one, and fail only the calls parked on it."""
+        writer.close()
+        if writer is self._writer:
+            self._writer = None
+        self._table.lost(generation, PartitionedError(
+            f"shard connection {self.host}:{self.port} lost"))
+
+    async def call(self, payload: Any, timeout: float | None = None) -> Any:
+        """One remote call; returns the unwrapped result (remote errors
+        re-raised by class, exactly like the threaded client)."""
+        import asyncio
+
+        writer = await self._connected()
+        generation = self._generation
+        call_id = self._table.new_id()
+        future = self._table.park(
+            call_id, asyncio.get_running_loop().create_future(), generation)
+        budget = DEFAULT_CALL_TIMEOUT if timeout is None else timeout
+        try:
+            writer.write(encode_frame(KIND_CALL, call_id, payload))
+            await writer.drain()
+            envelope = await asyncio.wait_for(future, timeout=budget)
+        except asyncio.TimeoutError as exc:  # first: an OSError from 3.11 on
+            raise RpcTimeout(
+                f"no response from {self.host}:{self.port} in {budget}s"
+            ) from exc
+        except OSError as exc:
+            self._drop(writer, generation)
+            raise PartitionedError(f"send to shard failed: {exc}") from exc
+        finally:
+            self._table.forget(call_id)
+        return unwrap(envelope)
+
+    async def close(self) -> None:
+        self._closed = True
+        if self._writer is not None:
+            # abort, not close: unsent frames must not wait on a shard
+            # that stopped reading; the read loop then sees the end
+            self._writer.transport.abort()
+        if self._reader_task is not None:
+            await self._reader_task
+
+
+class AsyncShardPool:
+    """Round-robin pool of multiplexed connections to one shard."""
+
+    def __init__(self, host: str, port: int):
+        self.connections = [
+            AsyncShardConnection(host, port) for _ in range(POOL_SIZE)
+        ]
+        self._rr = itertools.count()
+
+    async def call(self, payload: Any, timeout: float | None = None) -> Any:
+        conn = self.connections[next(self._rr) % len(self.connections)]
+        return await conn.call(payload, timeout=timeout)
+
+    async def close(self) -> None:
+        for conn in self.connections:
+            await conn.close()

@@ -44,7 +44,7 @@ from repro.storage.codec import CodecError, decode, encode
 
 MAGIC = b"RQ"
 VERSION = 1
-#: default ceiling for one frame's body (oversized payload rejection)
+#: ceiling for one frame's body: a protocol constant both ends share
 DEFAULT_MAX_FRAME = 8 * 1024 * 1024
 
 _HEADER = struct.Struct(">2sBBII")
@@ -59,18 +59,17 @@ class FrameError(CommError):
     bad CRC, oversized body, or a truncated header mid-stream)."""
 
 
-def encode_frame(kind: str, call_id: int, payload: Any,
-                 max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
+def encode_frame(kind: str, call_id: int, payload: Any) -> bytes:
     """One wire frame for ``payload``; raises
     :class:`~repro.storage.codec.CodecError` for non-codec types and
-    :class:`FrameError` for bodies over ``max_frame`` (fail at the
-    sender, where the error is actionable — the receiver would just
-    drop the connection)."""
+    :class:`FrameError` for bodies over :data:`DEFAULT_MAX_FRAME` (fail
+    at the sender, where the error is actionable — the receiver would
+    just drop the connection)."""
     body = encode([kind, call_id, payload])
-    if len(body) > max_frame:
+    if len(body) > DEFAULT_MAX_FRAME:
         raise FrameError(
             f"frame body of {len(body)} bytes exceeds the "
-            f"{max_frame}-byte limit"
+            f"{DEFAULT_MAX_FRAME}-byte limit"
         )
     header = _HEADER.pack(MAGIC, VERSION, 0, len(body), zlib.crc32(body))
     return header + body

@@ -30,7 +30,7 @@ import asyncio
 from typing import Any
 
 from repro.comm import remote
-from repro.comm.wire import DEFAULT_MAX_FRAME
+from repro.comm.transport import AsyncShardPool
 from repro.core.clerk import Clerk, Steps
 from repro.core.request import Request, make_rid, rid_sequence
 from repro.errors import Busy, CommError, ReproError
@@ -50,14 +50,10 @@ class Gateway:
         max_inflight: int = 64,
         depth_limit: int = 512,
         backpressure: bool = True,
-        pool_size: int = 2,
         depth_refresh: float = 0.25,
         placement: PlacementPolicy | None = None,
-        max_frame: int = DEFAULT_MAX_FRAME,
         obs: Observability | None = None,
     ):
-        from repro.gateway.aio import AsyncShardPool
-
         self.name = name
         self.request_queue = request_queue
         self.max_inflight = max_inflight
@@ -68,8 +64,7 @@ class Gateway:
             placement if placement is not None else ConsistentHashPlacement()
         )
         self.pools = [
-            AsyncShardPool(host, port, size=pool_size, max_frame=max_frame)
-            for host, port in endpoints
+            AsyncShardPool(host, port) for host, port in endpoints
         ]
         self.inflight = 0
         self.depth_estimate = 0

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 import re
-import signal
 import subprocess
 import sys
 import threading
@@ -116,13 +115,14 @@ class ShardSupervisor:
         deadline = time.monotonic() + READY_TIMEOUT
         while True:
             if time.monotonic() > deadline:
-                shard.proc.kill()
+                self._stop(shard)
                 raise ReproError(
                     f"shard {shard.index} did not report READY in "
                     f"{READY_TIMEOUT}s"
                 )
             line = shard.proc.stdout.readline()
             if not line:
+                self._stop(shard)
                 raise ReproError(
                     f"shard {shard.index} exited before READY "
                     f"(code {shard.proc.poll()})"
@@ -136,11 +136,16 @@ class ShardSupervisor:
 
     def kill(self, index: int) -> None:
         """SIGKILL shard ``index`` — a real crash, mid-write and all."""
-        shard = self.shards[index]
         with self._mutex:
-            if shard.proc is not None and shard.proc.poll() is None:
-                os.kill(shard.proc.pid, signal.SIGKILL)
-                shard.proc.wait()
+            self._stop(self.shards[index])
+
+    @staticmethod
+    def _stop(shard: ShardProcess) -> None:
+        """SIGKILL the shard's process and close its READY pipe."""
+        if shard.proc is not None:
+            shard.proc.kill()  # a no-op on a process that already died
+            shard.proc.wait()
+            shard.proc.stdout.close()
 
     def restart(self, index: int) -> None:
         """Boot shard ``index`` again over its data directory (restart
@@ -152,6 +157,7 @@ class ShardSupervisor:
             if shard.proc is not None and shard.proc.poll() is None:
                 return  # already running
             shard.restarts += 1
+            self._stop(shard)  # a shard that died by itself left its pipe open
             self._spawn(shard)
         self.resolve_in_doubt(index)
         # Branches on the other live shards may have been waiting on
@@ -167,9 +173,7 @@ class ShardSupervisor:
     def close(self) -> None:
         """Terminate every shard process (end of test/benchmark)."""
         for shard in self.shards:
-            if shard.proc is not None and shard.proc.poll() is None:
-                shard.proc.kill()
-                shard.proc.wait()
+            self._stop(shard)
 
     # -- distributed in-doubt resolution --------------------------------
 

@@ -1,7 +1,11 @@
 """TCP transport behaviour against real sockets: multiplexing,
-correlation, retry/reconnect, and mid-call peer death."""
+correlation, retry/reconnect, and mid-call peer death.  The correlation
+and peer-death contract runs against both socket drivers, threaded and
+asyncio."""
 
+import asyncio
 import os
+import queue
 import socket
 import struct
 import subprocess
@@ -10,6 +14,7 @@ import textwrap
 import threading
 import time
 import zlib
+from concurrent.futures import Future
 
 import pytest
 
@@ -21,7 +26,13 @@ from repro.comm.remote import (
     op_register,
 )
 from repro.comm import transport as transport_module
-from repro.comm.transport import NO_RESPONSE, TcpListener, TcpTransport
+from repro.comm.transport import (
+    NO_RESPONSE,
+    AsyncShardConnection,
+    CallTable,
+    TcpListener,
+    TcpTransport,
+)
 from repro.comm.wire import (
     KIND_CALL,
     KIND_RESP,
@@ -118,31 +129,112 @@ class TestTcpRoundTrip:
             listener.close()
 
 
+class ThreadedDriver:
+    """The threaded TCP driver behind the contract's synchronous face:
+    at-most-once (``retries=0``), results unwrapped."""
+
+    def __init__(self, port, timeout=30.0):
+        self.transport = make_transport(port, timeout=timeout, max_retries=0)
+
+    def call(self, payload):
+        return unwrap(self.transport.request(payload))
+
+    def close(self):
+        self.transport.close()
+
+
+class AsyncioDriver:
+    """The asyncio driver behind the same face, on a private event loop
+    (which any one thread at a time may run)."""
+
+    def __init__(self, port, timeout=30.0):
+        self.loop = asyncio.new_event_loop()
+        self.connection = AsyncShardConnection("127.0.0.1", port)
+        self.timeout = timeout
+
+    def call(self, payload):
+        return self.loop.run_until_complete(
+            self.connection.call(payload, timeout=self.timeout))
+
+    def close(self):
+        self.loop.run_until_complete(self.connection.close())
+        self.loop.close()
+
+
+def hand_rolled_peer(answer):
+    """A listening socket whose connections run ``answer(conn, call_id,
+    payload)`` for every call frame they read, until the caller hangs
+    up; returns the socket and the list of connections it accepted.
+    Stop it with :func:`stop_peer`."""
+    server = socket.socket()
+    server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    server.bind(("127.0.0.1", 0))
+    server.listen(16)
+    accepted = []
+
+    def serve(conn):
+        with conn:
+            frames = FrameReader()
+            try:
+                while chunk := conn.recv(65536):
+                    for _kind, call_id, payload in frames.feed(chunk):
+                        answer(conn, call_id, payload)
+            except OSError:
+                pass
+
+    def accept():
+        while True:
+            try:
+                conn, _ = server.accept()
+            except OSError:
+                return
+            accepted.append(conn)
+            threading.Thread(target=serve, args=(conn,), daemon=True).start()
+
+    threading.Thread(target=accept, daemon=True).start()
+    return server, accepted
+
+
+def stop_peer(server):
+    server.shutdown(socket.SHUT_RDWR)  # wakes the accept loop
+    server.close()
+
+
+def respond(conn, call_id, value):
+    conn.sendall(encode_frame(KIND_RESP, call_id, ok_payload(value)))
+
+
 class TestPeerDeath:
+    """Driver contract: a peer that is unreachable, dies mid-call or
+    answers garbage fails the call promptly with a :class:`CommError`.
+    This class runs it on the threaded driver, its subclass on the
+    asyncio one."""
+
+    driver = ThreadedDriver
+
     def test_connect_refused_raises_partitioned(self):
         sock = socket.socket()
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
         sock.close()  # nobody listening on this port now
-        transport = make_transport(port, max_retries=1)
+        driver = self.driver(port)
         try:
             with pytest.raises(PartitionedError):
-                transport.request({"op": "x"})
+                driver.call({"op": "x"})
         finally:
-            transport.close()
+            driver.close()
 
     def test_mid_call_peer_death_fails_fast(self):
         """The peer dies while a call is parked waiting for its reply:
         the caller must fail promptly (broken-attempt wakeup), not wait
         out the whole per-attempt timeout ladder."""
         listener = TcpListener(lambda payload: NO_RESPONSE)  # never replies
-        transport = make_transport(
-            listener.port, timeout=30.0, max_retries=0)
+        driver = self.driver(listener.port, timeout=30.0)
         result: list = []
 
         def call():
             try:
-                transport.request({"op": "x"})
+                driver.call({"op": "x"})
                 result.append("returned")
             except (RpcTimeout, PartitionedError) as exc:
                 result.append(exc)
@@ -157,39 +249,33 @@ class TestPeerDeath:
             assert not thread.is_alive(), "caller still stuck after peer death"
             assert result and isinstance(result[0], CommError)
         finally:
-            transport.close()
+            driver.close()
             listener.close()
-
 
     def test_a_malformed_reply_fails_the_call_promptly(self):
         """A peer answers with a CRC-valid frame whose body is not a
         ``[kind, call_id, payload]`` list: the reader must tear the
         connection down and wake the caller, not die and leave it to
         wait out its timeout against a socket nobody reads."""
-        server = socket.socket()
-        server.bind(("127.0.0.1", 0))
-        server.listen(1)
+        def answer(conn, _call_id, _payload):
+            body = encode(7)
+            conn.sendall(struct.pack(">2sBBII", b"RQ", 1, 0, len(body),
+                                     zlib.crc32(body)) + body)
 
-        def serve():
-            conn, _ = server.accept()
-            with conn:
-                conn.recv(65536)
-                body = encode(7)
-                conn.sendall(struct.pack(">2sBBII", b"RQ", 1, 0, len(body),
-                                         zlib.crc32(body)) + body)
-                conn.recv(65536)  # until the caller hangs up
-
-        threading.Thread(target=serve, daemon=True).start()
-        transport = make_transport(
-            server.getsockname()[1], timeout=30.0, max_retries=0)
+        server, _ = hand_rolled_peer(answer)
+        driver = self.driver(server.getsockname()[1], timeout=30.0)
         started = time.monotonic()
         try:
             with pytest.raises(CommError):
-                transport.request({"op": "x"})
+                driver.call({"op": "x"})
             assert time.monotonic() - started < 5.0
         finally:
-            transport.close()
-            server.close()
+            driver.close()
+            stop_peer(server)
+
+
+class TestPeerDeathAsyncio(TestPeerDeath):
+    driver = AsyncioDriver
 
 
 class TestCounters:
@@ -232,75 +318,280 @@ class TestCounters:
 
 
 class TestCorrelation:
-    def _misdirecting_server(self, wrong_offset=1000):
-        """A hand-rolled server that answers every call twice: first
-        with a *wrong* correlation id, then with the right one."""
-        server = socket.socket()
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server.bind(("127.0.0.1", 0))
-        server.listen(1)
+    """Driver contract: a response reaches exactly the call whose id it
+    carries, once.  This class runs it on the threaded driver, its
+    subclass on the asyncio one."""
 
-        def serve():
-            conn, _ = server.accept()
-            frames = FrameReader()
-            try:
-                while True:
-                    chunk = conn.recv(65536)
-                    if not chunk:
-                        return
-                    for _kind, call_id, _payload in frames.feed(chunk):
-                        conn.sendall(encode_frame(
-                            KIND_RESP, call_id + wrong_offset,
-                            ok_payload("imposter")))
-                        conn.sendall(encode_frame(
-                            KIND_RESP, call_id, ok_payload("genuine")))
-            except OSError:
-                pass
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        return server
+    driver = ThreadedDriver
 
     def test_mismatched_correlation_id_is_ignored(self):
-        server = self._misdirecting_server()
-        transport = make_transport(server.getsockname()[1])
+        def answer(conn, call_id, _payload):  # a wrong id first
+            respond(conn, call_id + 1000, "imposter")
+            respond(conn, call_id, "genuine")
+
+        server, _ = hand_rolled_peer(answer)
+        driver = self.driver(server.getsockname()[1])
         try:
-            assert unwrap(transport.request({"op": "x"})) == "genuine"
+            assert driver.call({"op": "x"}) == "genuine"
         finally:
-            transport.close()
-            server.close()
+            driver.close()
+            stop_peer(server)
 
     def test_only_wrong_ids_means_timeout(self):
         """A peer that never echoes the right id gives the caller
         nothing to correlate: the call must time out, not mis-deliver."""
-        server = socket.socket()
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server.bind(("127.0.0.1", 0))
-        server.listen(1)
-
-        def serve():
-            conn, _ = server.accept()
-            frames = FrameReader()
-            try:
-                while True:
-                    chunk = conn.recv(65536)
-                    if not chunk:
-                        return
-                    for _kind, call_id, _payload in frames.feed(chunk):
-                        conn.sendall(encode_frame(
-                            KIND_RESP, call_id + 7, ok_payload("wrong")))
-            except OSError:
-                pass
-
-        threading.Thread(target=serve, daemon=True).start()
-        transport = make_transport(
-            server.getsockname()[1], timeout=0.2, max_retries=1)
+        server, _ = hand_rolled_peer(
+            lambda conn, call_id, _payload: respond(conn, call_id + 7, "wrong"))
+        driver = self.driver(server.getsockname()[1], timeout=0.2)
         try:
             with pytest.raises(RpcTimeout):
-                transport.request({"op": "x"})
+                driver.call({"op": "x"})
+        finally:
+            driver.close()
+            stop_peer(server)
+
+    def test_a_duplicated_response_is_dropped(self):
+        """Every answer arrives twice: each call still gets its own, and
+        the duplicate neither fails the connection nor reaches the next
+        call."""
+        def answer(conn, call_id, payload):
+            respond(conn, call_id, payload["n"])
+            respond(conn, call_id, payload["n"])
+
+        server, accepted = hand_rolled_peer(answer)
+        driver = self.driver(server.getsockname()[1])
+        try:
+            assert [driver.call({"n": n}) for n in range(5)] == list(range(5))
+            assert len(accepted) == 1
+        finally:
+            driver.close()
+            stop_peer(server)
+
+
+class TestCorrelationAsyncio(TestCorrelation):
+    driver = AsyncioDriver
+
+    def test_a_burst_of_first_calls_opens_one_socket(self):
+        server, accepted = hand_rolled_peer(
+            lambda conn, call_id, payload: respond(conn, call_id, payload["n"]))
+        connection = AsyncShardConnection("127.0.0.1", server.getsockname()[1])
+
+        async def burst():
+            try:
+                return await asyncio.gather(
+                    *(connection.call({"n": n}) for n in range(16)))
+            finally:
+                await connection.close()
+
+        try:
+            assert asyncio.run(burst()) == list(range(16))
+            assert len(accepted) == 1
+            assert connection.reconnects == 1
+        finally:
+            stop_peer(server)
+
+
+class TestRetryEngine:
+    def test_a_response_between_attempts_answers_the_retry(self):
+        """The first attempt times out; its response arrives while the
+        retry backs off.  The retry returns it, though the peer never
+        answers the retry's own frame."""
+        seen = []
+        transport = None
+
+        def answer(conn, call_id, _payload):
+            seen.append(call_id)
+            if len(seen) == 1:
+                while transport.retries == 0:  # attempt 1 gave up
+                    time.sleep(0.005)
+                respond(conn, call_id, "late")
+
+        server, _ = hand_rolled_peer(answer)
+        # the retry sleeps 0.5-1.0 s: ample time for the late answer
+        transport = make_transport(
+            server.getsockname()[1], timeout=0.2, max_retries=1,
+            backoff_base=1.0, backoff_max=1.0)
+        try:
+            assert unwrap(transport.request({"op": "x"})) == "late"
+            assert transport.retries == 1
+            wait_until(lambda: len(seen) == 2)  # the retry did go out,
+            assert seen == [seen[0], seen[0]]  # as the same call
         finally:
             transport.close()
-            server.close()
+            stop_peer(server)
+
+
+class ScriptedSocket:
+    """A socket for :class:`TcpTransport` whose far end is the test:
+    it keeps the call ids sent on it, reads what the test puts in
+    ``inbound``, and notices a shutdown only when the test hangs up —
+    a reader slow to learn its connection is dead."""
+
+    def __init__(self):
+        self.calls = []
+        self.inbound = queue.SimpleQueue()
+        self.broken = False
+        self._frames = FrameReader()
+
+    def sendall(self, data):
+        if self.broken:
+            raise ConnectionResetError("scripted reset")
+        self.calls += [call_id for _k, call_id, _p in self._frames.feed(data)]
+
+    def recv(self, _size):
+        return self.inbound.get()
+
+    def settimeout(self, _timeout):
+        pass
+
+    def setsockopt(self, *_args):
+        pass
+
+    def shutdown(self, _how):
+        pass
+
+    def close(self):
+        pass
+
+
+class ScriptedStreams:
+    """The (reader, writer) pair of :func:`asyncio.open_connection`
+    with the test at the far end, in the same spirit."""
+
+    def __init__(self):
+        self.calls = []
+        self.broken = False
+        self.reader = asyncio.StreamReader()
+        self.transport = self  # the driver's close aborts writer.transport
+        self._frames = FrameReader()
+
+    def write(self, data):
+        self.calls += [call_id for _k, call_id, _p in self._frames.feed(data)]
+
+    async def drain(self):
+        if self.broken:
+            raise ConnectionResetError("scripted reset")
+
+    def close(self):
+        pass
+
+    def abort(self):
+        self.reader.feed_eof()
+
+
+def wait_until(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out waiting"
+        time.sleep(0.005)
+
+
+class TestSupersededConnection:
+    """A failed send replaces a connection while its reader still runs.
+    When that reader finally ends, it fails the calls parked on its
+    own connection only: the successor's calls survive."""
+
+    def test_threaded(self, monkeypatch):
+        links = [ScriptedSocket(), ScriptedSocket()]
+        opened = iter(links)
+        monkeypatch.setattr(socket, "create_connection",
+                            lambda *_args, **_kwargs: next(opened))
+        transport = TcpTransport("127.0.0.1", 1, timeout=30.0,
+                                 backoff_base=0.0)
+        outcomes = {}
+
+        def call(name, retries):
+            try:
+                outcomes[name] = unwrap(
+                    transport.request({"op": name}, retries=retries))
+            except CommError as exc:
+                outcomes[name] = exc
+
+        first = threading.Thread(target=call, args=("first", 0))
+        second = threading.Thread(target=call, args=("second", 1))
+        try:
+            first.start()
+            wait_until(lambda: links[0].calls)
+            links[0].broken = True  # the second call's send fails ...
+            second.start()
+            wait_until(lambda: links[1].calls)  # ... and its retry reconnects
+            links[0].inbound.put(b"")  # the stale reader ends now
+            first.join(timeout=5.0)
+            assert isinstance(outcomes["first"], CommError)
+            assert second.is_alive()  # still parked on the successor
+            links[1].inbound.put(encode_frame(
+                KIND_RESP, links[1].calls[0], ok_payload("survived")))
+            second.join(timeout=5.0)
+            assert outcomes["second"] == "survived"
+        finally:
+            for link in links:
+                link.inbound.put(b"")
+            transport.close()
+
+    def test_asyncio(self, monkeypatch):
+        links = []
+
+        async def open_connection(_host, _port):
+            links.append(ScriptedStreams())
+            return links[-1].reader, links[-1]
+
+        monkeypatch.setattr(asyncio, "open_connection", open_connection)
+        connection = AsyncShardConnection("127.0.0.1", 1)
+
+        async def scenario():
+            first = asyncio.ensure_future(connection.call({"op": "first"}))
+            await asyncio.sleep(0.01)
+            links[0].broken = True
+            with pytest.raises(PartitionedError):  # fails its connection,
+                await connection.call({"op": "second"})
+            with pytest.raises(PartitionedError):  # and so its calls
+                await first
+            third = asyncio.ensure_future(connection.call({"op": "third"}))
+            await asyncio.sleep(0.01)
+            assert len(links) == 2 and links[1].calls
+            links[0].reader.feed_eof()  # the stale read loop ends now
+            await asyncio.sleep(0.01)
+            assert not third.done()
+            links[1].reader.feed_data(encode_frame(
+                KIND_RESP, links[1].calls[0], ok_payload("survived")))
+            assert await third == "survived"
+            await connection.close()
+
+        asyncio.run(scenario())
+
+
+class TestCallTable:
+    """The sans-IO core on its own, with plain futures."""
+
+    def test_the_first_response_wins(self):
+        table = CallTable()
+        call_id = table.new_id()
+        future = table.park(call_id, Future(), 1)
+        frames = encode_frame(KIND_RESP, call_id, "first") + encode_frame(
+            KIND_RESP, call_id, "duplicate") + encode_frame(
+            KIND_RESP, call_id + 1, "unknown id")
+        table.feed(FrameReader(), frames)
+        assert future.result(0) == "first"
+
+    def test_a_lost_connection_fails_only_its_own_calls(self):
+        table = CallTable()
+        old, new = table.new_id(), table.new_id()
+        on_old = table.park(old, Future(), 1)
+        on_new = table.park(new, Future(), 2)
+        table.lost(1, PartitionedError("connection 1 lost"))
+        with pytest.raises(PartitionedError):
+            on_old.result(0)
+        assert not on_new.done()
+
+    def test_a_retry_reuses_a_future_that_holds_a_late_response(self):
+        table = CallTable()
+        call_id = table.new_id()
+        first = table.park(call_id, Future(), 1)
+        table.resolve(call_id, "late")
+        assert table.park(call_id, Future(), 2) is first
+        table.forget(call_id)
+        fresh = Future()
+        assert table.park(call_id, fresh, 2) is fresh
 
 
 def _workers(listener):

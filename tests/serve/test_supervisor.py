@@ -87,3 +87,16 @@ class TestInDoubtResolution:
                 {"gid": GID, "resolved": "commit"}
             ]
             assert call(supervisor, index, op_depth(qname)) == 1
+
+
+class TestReadyPipes:
+    def test_kill_restart_and_close_close_every_ready_pipe(self, supervisor):
+        """Each shard reports READY over a pipe to the supervisor: once
+        its process is gone the pipe must be closed, or every spawn and
+        restart leaks one file descriptor in the driver."""
+        spawned = [shard.proc for shard in supervisor.shards]
+        supervisor.kill(0)
+        supervisor.restart(0)
+        spawned.append(supervisor.shards[0].proc)
+        supervisor.close()
+        assert all(proc.stdout.closed for proc in spawned)
