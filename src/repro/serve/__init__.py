@@ -13,10 +13,11 @@ reproduction that way:
   operations that :mod:`repro.transaction.routing` drives.
 * ``repro.serve.shardd`` — the ``repro-shardd`` console entry point
   hosting one service over a :class:`~repro.comm.transport.TcpListener`.
-* :class:`~repro.serve.supervisor.ShardSupervisor` — spawns, monitors
-  and restarts shard subprocesses; ``kill()`` is a real ``SIGKILL``
-  and the restart runs real restart recovery, then resolves in-doubt
-  2PC branches against the surviving shards' decision records.
+* :class:`~repro.serve.supervisor.ShardSupervisor` — forks, monitors
+  and restarts shard processes from a warm template process;
+  ``kill()`` is a real ``SIGKILL`` and the restart runs real restart
+  recovery from disk, then resolves in-doubt 2PC branches against the
+  surviving shards' decision records.
 * :mod:`repro.serve.client` — the driver-side stubs: remote
   transaction managers and coordinators behind the *same*
   :class:`~repro.transaction.routing.ShardedTransactionManager` used

@@ -22,13 +22,24 @@ serving::
 one assigned.)  It then serves until killed — there is no graceful
 shutdown on purpose: the whole point of running shards as processes is
 that ``SIGKILL`` exercises the same recovery a power failure would.
+
+:func:`template` is the supervisor's warm fork server: one process
+that has imported this module, stays single-threaded, and forks each
+shard it is asked for.  The child runs the same :func:`serve` as the
+command line — it opens its data directory, replays the WAL and prints
+the READY line — so a restart is still restart recovery from disk; it
+skips only the interpreter boot and the imports.  The template itself
+never opens a data directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import signal
 import sys
+import threading
 
 from repro.comm.transport import TcpListener
 from repro.queueing.manager import QueueManager
@@ -119,10 +130,46 @@ def main(argv: list[str] | None = None) -> int:
     serve(args)
     # Serve until killed (SIGKILL is the supported shutdown: restart
     # recovery is the cleanup).
-    import threading
-
     threading.Event().wait()
     return 0  # pragma: no cover - unreachable
+
+
+def template() -> None:
+    """Fork one shard per line of stdin, until EOF.
+
+    Each line is a JSON list of ``repro-shardd`` arguments.  The
+    template answers ``PID <pid>`` on stdout; the child prints its
+    READY line on the same pipe, or ``FAILED pid=<pid> <error>`` if it
+    cannot boot, and then exits.  ``SIGCHLD`` is ignored, so the kernel
+    reaps the shards: their parent never waits for them."""
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    for line in sys.stdin.buffer:
+        argv = json.loads(line)
+        # A fork copies only the calling thread: any other one would be
+        # missing, its locks held forever, in every shard.
+        assert threading.active_count() == 1
+        pid = os.fork()
+        if pid == 0:
+            _forked_shard(argv)
+        os.write(1, f"PID {pid}\n".encode())
+
+
+def _forked_shard(argv: list[str]) -> None:
+    """The child side of :func:`template`.  It never returns and never
+    re-raises: either would run the template's loop in the shard."""
+    try:
+        signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+        devnull = os.open(os.devnull, os.O_RDWR)
+        os.dup2(devnull, 0)  # the template alone reads the requests
+        serve(build_parser().parse_args(argv))
+        # After READY the shard writes nothing to the template's pipe.
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        threading.Event().wait()
+    except BaseException as exc:
+        os.write(1, f"FAILED pid={os.getpid()} {exc!r}\n".encode())
+    finally:
+        os._exit(1)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -2,8 +2,19 @@
 
 The supervisor turns ``node.kill`` from a simulated fault into a real
 ``SIGKILL``: the shard process dies mid-write like a power failure,
-and :meth:`ShardSupervisor.restart` boots ``repro-shardd`` again over
-the same data directory — real restart recovery over a real WAL.
+and :meth:`ShardSupervisor.restart` boots the shard again over the
+same data directory — real restart recovery over a real WAL.
+
+Shards are forked from a warm *template*
+(:func:`repro.serve.shardd.template`), one per supervisor: a process
+that has imported the shard's code once and forks a child per boot.
+The child runs the same ``serve()`` as ``repro-shardd`` — it opens its
+data directory, replays the WAL, binds its port and prints the READY
+line — so a restart costs a fork plus the replay instead of an
+interpreter boot and ~60 module imports.  The template never opens a
+data directory: every shard's state comes from disk.  Shards are held
+by pidfd (:class:`ForkedShard`); they are the template's children,
+which the kernel reaps.
 
 After every restart the supervisor runs the distributed half of
 recovery that a lone shard cannot: prepared two-phase branches come
@@ -21,12 +32,16 @@ window.
 
 from __future__ import annotations
 
+import json
 import os
 import re
+import select
+import signal
 import subprocess
 import sys
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 
 from repro.comm.transport import TcpTransport
@@ -42,23 +57,129 @@ _READY_RE = re.compile(
     r"^READY name=(?P<name>\S+) port=(?P<port>\d+) "
     r"epoch=(?P<epoch>\d+) pid=(?P<pid>\d+)$"
 )
+#: the pid a forked shard names in its READY or FAILED line
+_SHARD_PID_RE = re.compile(r"^(?:READY|FAILED) .*?\bpid=(?P<pid>\d+)")
+
+
+class ForkedShard:
+    """A shard process held by pidfd.
+
+    It has the part of the :class:`subprocess.Popen` interface that the
+    supervisor and its callers use — ``pid``, ``poll()``, ``wait()``,
+    ``kill()`` and ``stdout`` (always ``None``) — for a process that is
+    not the caller's child.  Its exit status is therefore not
+    observable: once it is gone, ``poll()`` and ``wait()`` answer -1."""
+
+    stdout = None
+
+    def __init__(self, pid: int):
+        self.pid = pid
+        self.returncode: int | None = None
+        try:
+            self._fd: int | None = os.pidfd_open(pid)
+        except ProcessLookupError:  # already gone and reaped
+            self._fd = None
+            self.returncode = -1
+
+    def fileno(self) -> int | None:
+        """The pidfd, readable once the process is gone (None after)."""
+        return self._fd
+
+    def poll(self) -> int | None:
+        return self._ended(0)
+
+    def wait(self) -> int:
+        return self._ended(None)
+
+    def _ended(self, timeout: float | None) -> int | None:
+        if self._fd is not None and select.select(
+                [self._fd], [], [], timeout)[0]:
+            os.close(self._fd)
+            self._fd = None
+            self.returncode = -1
+        return self.returncode
+
+    def kill(self) -> None:
+        if self._fd is not None:
+            try:
+                signal.pidfd_send_signal(self._fd, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # already gone, not yet seen by wait()
+
+
+class _Template:
+    """The driver's end of one fork server: requests go down its stdin,
+    and its stdout carries the template's ``PID`` answers and the
+    forked shards' READY/FAILED lines."""
+
+    def __init__(self) -> None:
+        env = dict(os.environ)
+        src_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_root, env.get("PYTHONPATH")) if p
+        )
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "from repro.serve.shardd import template; template()"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, env=env, bufsize=0,
+        )
+        self._pending = b""
+
+    def fork(self, argv: list[str]) -> None:
+        try:
+            self.proc.stdin.write(json.dumps(argv).encode() + b"\n")
+        except OSError as exc:
+            raise ReproError(f"shard template is gone ({exc})") from None
+
+    def read(self, timeout: float, shard: ForkedShard | None) -> list[str]:
+        """The complete lines that arrive within ``timeout`` seconds;
+        returns early, maybe with none, when ``shard`` dies."""
+        out = self.proc.stdout.fileno()
+        watched = [out]
+        if shard is not None and shard.fileno() is not None:
+            watched.append(shard.fileno())
+        ready = select.select(watched, [], [], timeout)[0]
+        while out in ready:
+            chunk = os.read(out, 65536)
+            if not chunk:  # the template and every shard it forked
+                raise ReproError("shard template exited")
+            self._pending += chunk
+            ready = select.select([out], [], [], 0)[0]
+        *lines, self._pending = self._pending.split(b"\n")
+        return [line.decode() for line in lines]
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.kill()
+        self.proc.wait()
+        self.proc.stdout.close()
 
 
 @dataclass
 class ShardProcess:
-    """One supervised shard subprocess."""
+    """One supervised shard process."""
 
     index: int
     data_dir: str
     port: int = 0
     epoch: int = 0
     pid: int = 0
-    proc: subprocess.Popen | None = field(default=None, repr=False)
+    proc: ForkedShard | None = field(default=None, repr=False)
     restarts: int = 0
 
     @property
     def alive(self) -> bool:
         return self.proc is not None and self.proc.poll() is None
+
+
+def _shut_down(shards: list[ShardProcess], template: _Template) -> None:
+    """Kill every shard, then end the template.  Runs once: from
+    :meth:`ShardSupervisor.close`, or when the supervisor is collected,
+    or at interpreter exit."""
+    for shard in shards:
+        ShardSupervisor._stop(shard)
+    template.close()
 
 
 class ShardSupervisor:
@@ -83,14 +204,23 @@ class ShardSupervisor:
             data_dir = os.path.join(root_dir, f"s{index}")
             os.makedirs(data_dir, exist_ok=True)
             self.shards.append(ShardProcess(index=index, data_dir=data_dir))
-        for shard in self.shards:
-            self._spawn(shard)
+        self._template = _Template()
+        self._shut_down = weakref.finalize(
+            self, _shut_down, self.shards, self._template)
+        try:
+            for shard in self.shards:
+                self._spawn(shard)
+        except BaseException:
+            self.close()  # the caller never gets the object to close
+            raise
 
     # -- process control -------------------------------------------------
 
     def _spawn(self, shard: ShardProcess) -> None:
-        argv = [
-            sys.executable, "-m", "repro.serve.shardd",
+        """Fork the shard from the template and wait for its READY."""
+        deadline = time.monotonic() + READY_TIMEOUT
+        shard.proc = None
+        self._template.fork([
             "--dir", shard.data_dir,
             "--port", str(shard.port),  # 0 on first boot, pinned after
             "--host", self.host,
@@ -98,41 +228,43 @@ class ShardSupervisor:
             "--shard", str(shard.index),
             "--shards", str(self.shard_count),
             "--cc", self.cc,
-        ]
-        env = dict(os.environ)
-        src_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src_root, env.get("PYTHONPATH")) if p
-        )
-        shard.proc = subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            env=env, text=True,
-        )
-        self._wait_ready(shard)
+        ])
+        try:
+            match = self._await_boot(shard, deadline)
+        except BaseException:
+            self._stop(shard)
+            raise
+        shard.port = int(match.group("port"))
+        shard.epoch = int(match.group("epoch"))
+        shard.pid = int(match.group("pid"))
 
-    def _wait_ready(self, shard: ShardProcess) -> None:
-        assert shard.proc is not None and shard.proc.stdout is not None
-        deadline = time.monotonic() + READY_TIMEOUT
+    def _await_boot(self, shard: ShardProcess,
+                    deadline: float) -> re.Match[str]:
+        """Read the template's pipe until the forked shard reports
+        READY; raise if it fails, dies or runs out of time first."""
+        told: dict[int, str] = {}  # shard pid -> its READY/FAILED line
         while True:
-            if time.monotonic() > deadline:
-                self._stop(shard)
+            # A shard's last words precede its death: once it is gone,
+            # one more read without waiting collects them.
+            died = shard.proc is not None and shard.proc.poll() is not None
+            timeout = 0.0 if died else deadline - time.monotonic()
+            for line in self._template.read(max(timeout, 0.0), shard.proc):
+                if line.startswith("PID "):
+                    shard.proc = ForkedShard(int(line[4:]))
+                elif match := _SHARD_PID_RE.match(line):
+                    told[int(match.group("pid"))] = line
+            if shard.proc is not None and shard.proc.pid in told:
+                line = told[shard.proc.pid]
+                if match := _READY_RE.match(line):
+                    return match
+                raise ReproError(f"shard {shard.index} did not boot: {line}")
+            if died:
+                raise ReproError(f"shard {shard.index} exited before READY")
+            if time.monotonic() >= deadline:
                 raise ReproError(
                     f"shard {shard.index} did not report READY in "
                     f"{READY_TIMEOUT}s"
                 )
-            line = shard.proc.stdout.readline()
-            if not line:
-                self._stop(shard)
-                raise ReproError(
-                    f"shard {shard.index} exited before READY "
-                    f"(code {shard.proc.poll()})"
-                )
-            match = _READY_RE.match(line.strip())
-            if match:
-                shard.port = int(match.group("port"))
-                shard.epoch = int(match.group("epoch"))
-                shard.pid = int(match.group("pid"))
-                return
 
     def kill(self, index: int) -> None:
         """SIGKILL shard ``index`` — a real crash, mid-write and all."""
@@ -141,11 +273,10 @@ class ShardSupervisor:
 
     @staticmethod
     def _stop(shard: ShardProcess) -> None:
-        """SIGKILL the shard's process and close its READY pipe."""
+        """SIGKILL the shard's process and wait until it is gone."""
         if shard.proc is not None:
             shard.proc.kill()  # a no-op on a process that already died
             shard.proc.wait()
-            shard.proc.stdout.close()
 
     def restart(self, index: int) -> None:
         """Boot shard ``index`` again over its data directory (restart
@@ -157,7 +288,7 @@ class ShardSupervisor:
             if shard.proc is not None and shard.proc.poll() is None:
                 return  # already running
             shard.restarts += 1
-            self._stop(shard)  # a shard that died by itself left its pipe open
+            self._stop(shard)  # closes the pidfd of one that died by itself
             self._spawn(shard)
         self.resolve_in_doubt(index)
         # Branches on the other live shards may have been waiting on
@@ -171,9 +302,10 @@ class ShardSupervisor:
                     pass
 
     def close(self) -> None:
-        """Terminate every shard process (end of test/benchmark)."""
-        for shard in self.shards:
-            self._stop(shard)
+        """Kill every shard process and end the template (end of
+        test/benchmark).  Idempotent; dropping the supervisor does the
+        same when it is collected."""
+        self._shut_down()
 
     # -- distributed in-doubt resolution --------------------------------
 
